@@ -17,11 +17,9 @@
 // compared only with -wall, at its own threshold (-wall-threshold,
 // default 25%) above a noise floor (-min-wall, default 0.5 s).
 //
-// Histories written by fleet workers (wardenfleet; internal/fleet) are
-// accepted unchanged: their records carry an additive worker-provenance
-// field that pairing and comparison ignore, and their fingerprints use the
-// same derivation as single-process runs, so a distributed sweep gates
-// against the same committed baselines.
+// Unknown record keys (from newer writers, or retired fields in older
+// histories) are ignored, so any history line with the current fingerprint
+// derivation gates against the committed baselines.
 //
 // Exit status: 0 no regression, 1 regression detected, 2 usage or I/O
 // error.

@@ -127,8 +127,8 @@ func main() {
 
 		run := func(p core.Protocol) (bench.Result, *attrib.Ledger) {
 			led := attrib.New(lcfg)
-			res, err := bench.RunOneObservedOn(emode, cfg, p, entry, n, hlpl.DefaultOptions(),
-				func(*machine.Machine) core.Sink { return led })
+			res, err := bench.Run(bench.Spec{Config: cfg, Protocol: p, Entry: entry, Size: n, Opts: hlpl.DefaultOptions()},
+				bench.Instruments{Engine: emode, Sink: func(*machine.Machine) core.Sink { return led }})
 			if err != nil {
 				fatalf(1, "%s under %s: %v", entry.Name, lower(p), err)
 			}

@@ -24,10 +24,10 @@
 // non-negative durations), and prints its shape; a malformed trace exits
 // non-zero.
 //
-// Metrics mode renders a coordinator's operational state as HTML without
+// Metrics mode renders a process's host-side state as HTML without
 // simulating anything: it parses a Prometheus text scrape — a live
-// /metrics URL or a saved file — and reports the warden_fleet_span_seconds_*
-// duration histograms plus the memo and fleet result-cache hit-rates.
+// /metrics URL (wardenbench -serve) or a saved file — and reports the
+// simulation memo's hit-rate.
 package main
 
 import (
@@ -63,7 +63,7 @@ func main() {
 	window := flag.Uint64("window", 0, "telemetry sampling window width in simulated cycles (0 = default)")
 	validate := flag.String("validate", "", "validate a Perfetto trace_event JSON file and print its shape (no simulation)")
 	metrics := flag.String("metrics", "",
-		"render a host-observability report (fleet span histograms, cache hit-rates) from a Prometheus text scrape: a file path or an http(s) /metrics URL (no simulation)")
+		"render a host-observability report (memo cache hit-rate) from a Prometheus text scrape: a file path or an http(s) /metrics URL (no simulation)")
 	flag.Parse()
 
 	if *validate != "" {
@@ -152,8 +152,8 @@ func observe(cfg topology.Config, proto core.Protocol, e pbbs.Entry, n int, size
 		tcfg.Trace = traceF
 	}
 	cap := telemetry.New(tcfg)
-	res, err := bench.RunOneObserved(cfg, proto, e, n, hlpl.DefaultOptions(),
-		func(*machine.Machine) core.Sink { return cap })
+	res, err := bench.Run(bench.Spec{Config: cfg, Protocol: proto, Entry: e, Size: n, Opts: hlpl.DefaultOptions()},
+		bench.Instruments{Sink: func(*machine.Machine) core.Sink { return cap }})
 	if cerr := cap.Close(); err == nil && cerr != nil {
 		err = cerr
 	}
@@ -177,9 +177,9 @@ func observe(cfg topology.Config, proto core.Protocol, e pbbs.Entry, n int, size
 }
 
 // runMetrics renders the host-observability report: parse a Prometheus
-// text scrape (a saved file or a live /metrics endpoint), fold the fleet
-// span-duration histograms and the memo/fleet cache counters into views,
-// and write them as a self-contained HTML document.
+// text scrape (a saved file or a live /metrics endpoint), fold the memo
+// cache counters into a view, and write it as a self-contained HTML
+// document.
 func runMetrics(source, out string) error {
 	var r io.ReadCloser
 	if strings.HasPrefix(source, "http://") || strings.HasPrefix(source, "https://") {
@@ -206,40 +206,16 @@ func runMetrics(source, out string) error {
 	}
 
 	view := &telemetry.ObsView{Source: source}
-	for _, f := range obs.HistogramFamilies(fams, "warden_fleet_span_seconds_") {
-		h := telemetry.HistView{Name: f.Name}
-		var prev uint64
-		for _, m := range f.Metrics {
-			switch m.Suffix {
-			case "_bucket":
-				// Exposition buckets are cumulative; the table shows each
-				// bucket's own observations.
-				c := uint64(m.Value)
-				h.Rows = append(h.Rows, telemetry.HistRow{LE: obs.LabelValue(m, "le"), Count: c - prev})
-				prev = c
-			case "_sum":
-				h.Sum = m.Value
-			case "_count":
-				h.Count = uint64(m.Value)
-			}
-		}
-		view.Hists = append(view.Hists, h)
-	}
-	for _, c := range []struct{ name, prefix string }{
-		{"simulation memo", "warden_memo"},
-		{"fleet result cache", "warden_fleet_cache"},
-	} {
-		if s, ok := obs.CacheStatsFrom(fams, c.prefix); ok {
-			view.Caches = append(view.Caches, telemetry.CacheView{
-				Name: c.name, Hits: s.Hits, Misses: s.Misses, Entries: uint64(s.Entries)})
-		}
+	if s, ok := obs.CacheStatsFrom(fams, "warden_memo"); ok {
+		view.Caches = append(view.Caches, telemetry.CacheView{
+			Name: "simulation memo", Hits: s.Hits, Misses: s.Misses, Entries: uint64(s.Entries)})
 	}
 
 	f, err := os.Create(out)
 	if err != nil {
 		return err
 	}
-	werr := telemetry.WriteObsHTML(f, "fleet observability: "+source, view)
+	werr := telemetry.WriteObsHTML(f, "host observability: "+source, view)
 	if cerr := f.Close(); werr == nil {
 		werr = cerr
 	}

@@ -147,7 +147,8 @@ func main() {
 					"size": strconv.Itoa(*size)})
 			run.Start()
 		}
-		res, err := bench.RunOneProbedOn(emode, cfg, p, entry, *size, hlpl.DefaultOptions(), probe)
+		res, err := bench.Run(bench.Spec{Config: cfg, Protocol: p, Entry: entry, Size: *size, Opts: hlpl.DefaultOptions()},
+			bench.Instruments{Engine: emode, Probe: probe})
 		if run != nil {
 			run.SetCounter("instructions", res.Counters.Instructions)
 			run.SetCounter("messages", res.Counters.TotalMsgs())

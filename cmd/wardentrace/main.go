@@ -224,8 +224,8 @@ func runRecord(cfg topology.Config, proto core.Protocol, name, size, out, jsonl 
 	}
 
 	rec := trace.NewRecorder(textW, jsonlW)
-	res, err := bench.RunOneObserved(cfg, proto, e, n, hlpl.DefaultOptions(),
-		func(*machine.Machine) core.Sink { return rec })
+	res, err := bench.Run(bench.Spec{Config: cfg, Protocol: proto, Entry: e, Size: n, Opts: hlpl.DefaultOptions()},
+		bench.Instruments{Sink: func(*machine.Machine) core.Sink { return rec }})
 	if err != nil {
 		fatal(err)
 	}

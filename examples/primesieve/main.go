@@ -31,7 +31,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		res, err := bench.RunOne(cfg, proto, entry, *n, hlpl.DefaultOptions())
+		res, err := bench.Run(bench.Spec{Config: cfg, Protocol: proto, Entry: entry, Size: *n, Opts: hlpl.DefaultOptions()}, bench.Instruments{})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -126,6 +126,7 @@ type Ledger struct {
 	samples  []Sample
 	reconOK  bool
 	reconFor uint64
+	residue  int64 // signed residue of the last Reconcile
 }
 
 // New builds a Ledger with cfg (zero value → defaults).
@@ -278,61 +279,47 @@ func (l *Ledger) CriticalThread() (thread int, cycles uint64, ok bool) {
 // thread, the sum of charged advances must equal the reconstructed clock,
 // and the maximum clock must equal total. Any difference is returned as an
 // error naming the residue — attribution that does not reconcile exactly
-// is always a bug.
+// is always a bug — and kept for Residue. A per-thread residue wins over a
+// run residue and is taken from the smallest such thread id, so the
+// reported residue does not depend on map iteration order.
 func (l *Ledger) Reconcile(total uint64) error {
+	l.reconOK, l.residue = false, 0
 	var maxClock uint64
+	bad := -1
 	for id, tt := range l.threads {
-		if tt.sum != tt.clock {
-			return fmt.Errorf("attrib: thread %d residue: sum of advances %d != final clock %d (residue %d)",
-				id, tt.sum, tt.clock, int64(tt.sum)-int64(tt.clock))
+		if tt.sum != tt.clock && (bad < 0 || id < bad) {
+			bad = id
 		}
 		if tt.clock > maxClock {
 			maxClock = tt.clock
 		}
 	}
+	if bad >= 0 {
+		tt := l.threads[bad]
+		l.residue = int64(tt.sum) - int64(tt.clock)
+		return fmt.Errorf("attrib: thread %d residue: sum of advances %d != final clock %d (residue %d)",
+			bad, tt.sum, tt.clock, l.residue)
+	}
 	if maxClock != total {
+		l.residue = int64(maxClock) - int64(total)
 		return fmt.Errorf("attrib: run residue: max thread clock %d != measured cycles %d (residue %d)",
-			maxClock, total, int64(maxClock)-int64(total))
+			maxClock, total, l.residue)
 	}
 	l.reconOK, l.reconFor = true, total
 	return nil
 }
 
+// Residue returns the magnitude in cycles of the residue the last
+// Reconcile computed: 0 after a success (or before any Reconcile).
+func (l *Ledger) Residue() uint64 {
+	if l.residue < 0 {
+		return uint64(-l.residue)
+	}
+	return uint64(l.residue)
+}
+
 // Reconciled reports whether Reconcile has succeeded, and for what total.
 func (l *Ledger) Reconciled() (uint64, bool) { return l.reconFor, l.reconOK }
-
-// KindShares aggregates cycles per event kind over all threads and returns
-// (kind name, cycles) rows sorted by cycles descending, plus the total.
-func (l *Ledger) KindShares() (rows []KindShare, total uint64) {
-	for k, v := range l.perKind {
-		rows = append(rows, KindShare{Kind: k.String(), Cycles: v})
-		total += v
-	}
-	sort.Slice(rows, func(i, j int) bool {
-		if rows[i].Cycles != rows[j].Cycles {
-			return rows[i].Cycles > rows[j].Cycles
-		}
-		return rows[i].Kind < rows[j].Kind
-	})
-	return rows, total
-}
-
-// KindShare is one per-kind aggregate.
-type KindShare struct {
-	Kind   string `json:"kind"`
-	Cycles uint64 `json:"cycles"`
-}
-
-// TopKind returns the event kind with the most attributed cycles and its
-// share of all attributed cycles — the summary a fleet worker ships back
-// with each result. Empty when nothing was attributed.
-func (l *Ledger) TopKind() (kind string, share float64) {
-	rows, total := l.KindShares()
-	if len(rows) == 0 || total == 0 {
-		return "", 0
-	}
-	return rows[0].Kind, float64(rows[0].Cycles) / float64(total)
-}
 
 // accountJSON is the JSONL artifact row for one account.
 type accountJSON struct {

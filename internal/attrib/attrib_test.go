@@ -32,11 +32,20 @@ func TestLedgerReconcilesExactly(t *testing.T) {
 	if err := l.Reconcile(15); err != nil {
 		t.Fatalf("Reconcile(15): %v", err)
 	}
+	if r := l.Residue(); r != 0 {
+		t.Fatalf("Residue after exact reconcile = %d, want 0", r)
+	}
 	if th, cy, ok := l.CriticalThread(); !ok || th != 0 || cy != 15 {
 		t.Fatalf("CriticalThread = %d,%d,%v; want 0,15,true", th, cy, ok)
 	}
 	if err := l.Reconcile(16); err == nil {
 		t.Fatal("Reconcile(16) accepted a 1-cycle residue")
+	}
+	if r := l.Residue(); r != 1 {
+		t.Fatalf("Residue after Reconcile(16) = %d, want 1", r)
+	}
+	if _, ok := l.Reconciled(); ok {
+		t.Fatal("Reconciled still true after a failed Reconcile")
 	}
 	if got := l.ThreadCycles(1); got != 7 {
 		t.Fatalf("ThreadCycles(1) = %d, want 7", got)
@@ -51,6 +60,9 @@ func TestLedgerDetectsPerThreadResidue(t *testing.T) {
 	l.Event(&core.Event{Kind: core.EvLoad, Thread: 0, Cycle: 5, Advance: 0})
 	if err := l.Reconcile(5); err == nil || !strings.Contains(err.Error(), "residue") {
 		t.Fatalf("per-thread residue not detected: %v", err)
+	}
+	if r := l.Residue(); r != 2 {
+		t.Fatalf("per-thread Residue = %d, want 2", r)
 	}
 }
 

@@ -175,7 +175,7 @@ func AblationRegionCapacity(w io.Writer, r *Runner) error {
 // corrupts the other writers' bytes.
 func AblationSectorGranularity(w io.Writer, r *Runner) error {
 	sectors := []uint64{1, 8, 64}
-	// The trials bypass RunOne (they inspect memory bytes, not counters)
+	// The trials bypass Run (they inspect memory bytes, not counters)
 	// but still fan out over the runner's pool.
 	corrupted, err := runner.Map(r.pool, len(sectors), func(i int) (int, error) {
 		return sectorGranularityTrial(sectors[i])

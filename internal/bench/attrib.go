@@ -17,13 +17,10 @@ import (
 
 	"warden/internal/attrib"
 	"warden/internal/core"
-	"warden/internal/hlpl"
 	"warden/internal/machine"
 	"warden/internal/obs"
-	"warden/internal/pbbs"
 	"warden/internal/runner"
 	"warden/internal/telemetry"
-	"warden/internal/topology"
 )
 
 // AttribConfig enables per-run cycle attribution on a Runner.
@@ -61,13 +58,14 @@ type attribCounters struct {
 	cycles   atomic.Uint64 // cycles exactly attributed (i.e. reconciled)
 	accounts atomic.Uint64 // ledger accounts written
 	blocks   atomic.Uint64 // blocks tracked by flight recorders
+	residue  atomic.Uint64 // |residue| cycles of ledgers that failed to reconcile
 }
 
 // attribFamilies renders the warden_attrib_* families. They are always
 // present (zero-valued when attribution is disabled) so dashboards and CI
 // assertions can rely on the family names existing. The residue counter
-// stays 0 by construction: a nonzero residue fails the run instead of
-// being exported.
+// sums the measured residue of every ledger that failed to reconcile (each
+// such run also fails), so it is 0 on a healthy sweep.
 func (c *attribCounters) families() []obs.Family {
 	return []obs.Family{
 		obs.Counter("warden_attrib_runs_total",
@@ -79,17 +77,18 @@ func (c *attribCounters) families() []obs.Family {
 		obs.Counter("warden_attrib_blocks_total",
 			"Cache blocks tracked by flight recorders across completed runs.", float64(c.blocks.Load())),
 		obs.Counter("warden_attrib_residue_total",
-			"Reconciliation residue cycles. Always 0: a nonzero residue fails the run.", 0),
+			"Reconciliation residue cycles of failed ledgers (each such run fails).", float64(c.residue.Load())),
 	}
 }
 
 // runInstrumented executes one simulation with the enabled observation
 // sinks (telemetry capture and/or attribution ledger) attached through
 // core.Sinks, then writes their artifact files. Measurements are identical
-// to RunOne's. run, when non-nil, collects artifact paths and flight-
+// to a bare Run's. run, when non-nil, collects artifact paths and flight-
 // recorder summaries for /runs/{id} and /runs/{id}/blocks.
-func (r *Runner) runInstrumented(cfg topology.Config, proto core.Protocol, e pbbs.Entry, size int, opts hlpl.Options, run *obs.Run) (Result, error) {
-	base := artifactBase(e.Name, proto, cfg, size, opts)
+func (r *Runner) runInstrumented(spec Spec, run *obs.Run) (Result, error) {
+	cfg := spec.Config
+	base := artifactBase(spec.Entry.Name, spec.Protocol, cfg, spec.Size, spec.Opts)
 
 	var cap *telemetry.Capture
 	var traceF io.WriteCloser
@@ -124,8 +123,11 @@ func (r *Runner) runInstrumented(cfg topology.Config, proto core.Protocol, e pbb
 	if led != nil {
 		sinks = append(sinks, led)
 	}
-	res, err := runObserved(cfg, proto, e, size, opts, r.Engine,
-		func(*machine.Machine) core.Sink { return core.Sinks(sinks...) }, r.probe, nil)
+	res, err := Run(spec, Instruments{
+		Engine: r.Engine,
+		Sink:   func(*machine.Machine) core.Sink { return core.Sinks(sinks...) },
+		Probe:  r.probe,
+	})
 	if cap != nil {
 		if cerr := cap.Close(); err == nil && cerr != nil {
 			err = fmt.Errorf("bench: telemetry trace: %w", cerr)
@@ -160,6 +162,7 @@ func (r *Runner) runInstrumented(cfg topology.Config, proto core.Protocol, e pbb
 		// measured cycle count. A residue means the Advance plumbing broke —
 		// fail the run rather than report unsound attribution.
 		if rerr := led.Reconcile(res.Cycles); rerr != nil {
+			r.attribCtr.residue.Add(led.Residue())
 			return Result{}, fmt.Errorf("bench: %s: %w", base, rerr)
 		}
 		for _, art := range []struct {

@@ -38,14 +38,14 @@ func TestAttribMatchesUnobserved(t *testing.T) {
 	for _, e := range pbbs.Suite {
 		ledgers[e.Name] = make(map[string]side)
 		for _, proto := range core.All() {
-			bare, err := RunOne(cfg, proto, e, Small.pick(e), opts)
+			bare, err := Run(Spec{Config: cfg, Protocol: proto, Entry: e, Size: Small.pick(e), Opts: opts}, Instruments{})
 			if err != nil {
 				t.Fatalf("%s/%v bare: %v", e.Name, proto, err)
 			}
 			for _, emode := range []machine.EngineMode{machine.EngineSequential, machine.EnginePDES} {
 				led := attrib.New(attrib.Config{})
-				res, err := RunOneObservedOn(emode, cfg, proto, e, Small.pick(e), opts,
-					func(*machine.Machine) core.Sink { return led })
+				res, err := Run(Spec{Config: cfg, Protocol: proto, Entry: e, Size: Small.pick(e), Opts: opts},
+					Instruments{Engine: emode, Sink: func(*machine.Machine) core.Sink { return led }})
 				if err != nil {
 					t.Fatalf("%s/%v/%v attrib: %v", e.Name, proto, emode, err)
 				}
@@ -105,7 +105,7 @@ func TestRunnerAttribArtifactsAndMetrics(t *testing.T) {
 	// composed-sink matrix (each sink alone is covered elsewhere).
 	r.SetTelemetry(TelemetryConfig{Dir: t.TempDir()})
 	cfg := eventsTestConfig()
-	plain, err := RunOne(cfg, core.Protocols("warden")[0], e, Small.pick(e), r.Opts)
+	plain, err := Run(Spec{Config: cfg, Protocol: core.Protocols("warden")[0], Entry: e, Size: Small.pick(e), Opts: r.Opts}, Instruments{})
 	if err != nil {
 		t.Fatal(err)
 	}

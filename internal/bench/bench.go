@@ -37,11 +37,72 @@ type Result struct {
 // IPC returns the run's instructions per cycle.
 func (r Result) IPC() float64 { return r.Counters.IPC(r.Cycles) }
 
-// RunOne executes one benchmark at the given size on a fresh machine and
-// returns its measurements. Results are verified; a verification failure is
-// an error (a coherence bug, not a measurement).
-func RunOne(cfg topology.Config, proto core.Protocol, entry pbbs.Entry, size int, opts hlpl.Options) (Result, error) {
-	return runObserved(cfg, proto, entry, size, opts, machine.EngineSequential, nil, nil, nil)
+// Spec says what to simulate: one benchmark at one input size on a fresh
+// machine of the given configuration and protocol.
+type Spec struct {
+	Config   topology.Config
+	Protocol core.Protocol
+	Entry    pbbs.Entry
+	Size     int
+	Opts     hlpl.Options
+}
+
+// Instruments says how to run and observe a simulation. The zero value is
+// a bare run on the sequential engine. No instrument can change a
+// measurement: both engines give byte-identical Results (the PDES
+// differential suite asserts it), the sink path is event emission only,
+// and the probe is a pair of host-side atomics (TestInstrumentsNonPerturbing).
+type Instruments struct {
+	// Engine selects the simulation scheduler.
+	Engine machine.EngineMode
+	// Sink, if set, builds the event sink for the freshly created machine
+	// (so sinks that need the System, like core.NewChecker, can reach it)
+	// and may return nil for an unobserved run. The sink sees the full run
+	// including the final drain; it is detached before verification so
+	// host-side checks don't pollute the stream.
+	Sink func(*machine.Machine) core.Sink
+	// Probe, if set, receives live engine progress (the -serve path).
+	Probe *engine.Probe
+}
+
+// Run executes one simulation and returns its measurements: build the
+// machine, attach the instruments, run, verify, measure. Results are
+// verified; a verification failure is an error (a coherence bug, not a
+// measurement).
+func Run(s Spec, in Instruments) (Result, error) {
+	cfg, proto, entry := s.Config, s.Protocol, s.Entry
+	m := machine.New(cfg, proto)
+	m.SetEngineMode(in.Engine)
+	if in.Probe != nil {
+		m.SetProbe(in.Probe)
+	}
+	if in.Sink != nil {
+		m.System().SetSink(in.Sink(m))
+	}
+	w := entry.New(s.Size)
+	if w.Prepare != nil {
+		w.Prepare(m)
+	}
+	rt := hlpl.New(m, s.Opts)
+	cycles, err := rt.Run(w.Root)
+	m.System().SetSink(nil)
+	if err != nil {
+		return Result{}, fmt.Errorf("bench: %s on %s/%v: %w", entry.Name, cfg.Name, proto, err)
+	}
+	if err := w.Verify(m); err != nil {
+		return Result{}, fmt.Errorf("bench: %s on %s/%v: verification failed: %w", entry.Name, cfg.Name, proto, err)
+	}
+	model := energy.Default(cfg)
+	ctr := *m.Counters()
+	return Result{
+		Benchmark: entry.Name,
+		Protocol:  proto,
+		Config:    cfg,
+		Size:      s.Size,
+		Cycles:    cycles,
+		Counters:  ctr,
+		Energy:    model.Evaluate(&ctr, cycles, cfg),
+	}, nil
 }
 
 // Comparison is one benchmark's MESI-vs-WARDen measurement pair with the
@@ -219,11 +280,8 @@ func (r *Runner) SetObserver(reg *obs.Registry) { r.reg = reg }
 // MemoStats reports the simulation memo cache's hit/miss counters.
 func (r *Runner) MemoStats() runner.MemoStats { return r.memo.Stats() }
 
-// MetricFamilies implements obs.Source: memo-cache effectiveness and the
-// uncached-simulation totals, for /metrics. The memo families go through
-// obs.CacheFamilies, the same surface the fleet coordinator's result cache
-// uses, so local and distributed cache behaviour read identically on a
-// dashboard (warden_memo_* vs warden_fleet_cache_*).
+// MetricFamilies implements obs.Source: memo-cache effectiveness, the
+// uncached-simulation totals, and the attribution counters, for /metrics.
 func (r *Runner) MetricFamilies() []obs.Family {
 	ms := r.memo.Stats()
 	cycles, runs := r.SimulatedCycles()
@@ -289,12 +347,13 @@ func (r *Runner) runWith(cfg topology.Config, proto core.Protocol, e pbbs.Entry,
 				})
 			run.Start()
 		}
+		spec := Spec{Config: cfg, Protocol: proto, Entry: e, Size: size, Opts: opts}
 		var res Result
 		var err error
 		if r.tele.Dir != "" || r.attrib.Dir != "" {
-			res, err = r.runInstrumented(cfg, proto, e, size, opts, run)
+			res, err = r.runInstrumented(spec, run)
 		} else {
-			res, err = runObserved(cfg, proto, e, size, opts, r.Engine, nil, r.probe, nil)
+			res, err = Run(spec, Instruments{Engine: r.Engine, Probe: r.probe})
 		}
 		if run != nil {
 			if err == nil {

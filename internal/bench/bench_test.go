@@ -11,14 +11,14 @@ import (
 	"warden/internal/topology"
 )
 
-func TestRunOneVerifies(t *testing.T) {
+func TestRunVerifies(t *testing.T) {
 	e, err := pbbs.ByName("primes")
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := topology.XeonGold6126(1)
 	cfg.CoresPerSocket = 4
-	res, err := RunOne(cfg, core.WARDen, e, e.Small, hlpl.DefaultOptions())
+	res, err := Run(Spec{Config: cfg, Protocol: core.WARDen, Entry: e, Size: e.Small, Opts: hlpl.DefaultOptions()}, Instruments{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,5 @@
 package bench
 
-// Event-stream variants of the harness entry points: RunOneObserved runs a
-// benchmark with a caller-supplied sink attached to the memory system, and
 // EventsReport renders the Metrics-sink view (latency histograms, sharer
 // distributions, per-block contention) for a fixed benchmark subset under
 // both protocols — wardenbench -events.
@@ -11,103 +9,11 @@ import (
 	"io"
 
 	"warden/internal/core"
-	"warden/internal/energy"
-	"warden/internal/engine"
 	"warden/internal/hlpl"
 	"warden/internal/machine"
 	"warden/internal/pbbs"
 	"warden/internal/topology"
 )
-
-// RunOneObserved is RunOne with an event sink: attach builds the sink for
-// the freshly created machine (so sinks that need the System, like
-// core.NewChecker, can reach it) and may return nil for an unobserved run.
-// The sink sees the full run including the final drain; it is detached
-// before verification so host-side checks don't pollute the stream.
-func RunOneObserved(cfg topology.Config, proto core.Protocol, entry pbbs.Entry, size int, opts hlpl.Options, attach func(*machine.Machine) core.Sink) (Result, error) {
-	return runObserved(cfg, proto, entry, size, opts, machine.EngineSequential, attach, nil, nil)
-}
-
-// RunOneObservedOn is RunOneObserved under an explicit engine mode. Both
-// modes produce byte-identical results (the PDES differential suite
-// asserts it); the mode only selects how the simulation uses host cores.
-func RunOneObservedOn(emode machine.EngineMode, cfg topology.Config, proto core.Protocol, entry pbbs.Entry, size int, opts hlpl.Options, attach func(*machine.Machine) core.Sink) (Result, error) {
-	return runObserved(cfg, proto, entry, size, opts, emode, attach, nil, nil)
-}
-
-// RunOneProbed is RunOne with a live progress probe attached to the
-// machine's engine — the wardensim -serve path. The probe is host-visible
-// only; results are identical to RunOne's.
-func RunOneProbed(cfg topology.Config, proto core.Protocol, entry pbbs.Entry, size int, opts hlpl.Options, probe *engine.Probe) (Result, error) {
-	return runObserved(cfg, proto, entry, size, opts, machine.EngineSequential, nil, probe, nil)
-}
-
-// RunOneProbedOn is RunOneProbed under an explicit engine mode (the
-// wardensim -engine flag).
-func RunOneProbedOn(emode machine.EngineMode, cfg topology.Config, proto core.Protocol, entry pbbs.Entry, size int, opts hlpl.Options, probe *engine.Probe) (Result, error) {
-	return runObserved(cfg, proto, entry, size, opts, emode, nil, probe, nil)
-}
-
-// RunOneTracedOn is RunOneProbedOn with a host-side PDES epoch hook
-// attached (see engine.EpochEvent) — the fleet worker's span-tracing
-// path. The hook observes scheduler phase boundaries only and cannot
-// change a measurement; it never fires under the sequential engine. A
-// nil hook makes this identical to RunOneProbedOn.
-func RunOneTracedOn(emode machine.EngineMode, cfg topology.Config, proto core.Protocol, entry pbbs.Entry, size int, opts hlpl.Options, probe *engine.Probe, hook func(engine.EpochEvent)) (Result, error) {
-	return runObserved(cfg, proto, entry, size, opts, emode, nil, probe, hook)
-}
-
-// RunOneInstrumentedOn is the fully-loaded entry point: an event sink, a
-// progress probe, and a PDES epoch hook together — the fleet worker's
-// attribution path. Every attachment is pure observation, so results are
-// identical to RunOne's.
-func RunOneInstrumentedOn(emode machine.EngineMode, cfg topology.Config, proto core.Protocol, entry pbbs.Entry, size int, opts hlpl.Options, attach func(*machine.Machine) core.Sink, probe *engine.Probe, hook func(engine.EpochEvent)) (Result, error) {
-	return runObserved(cfg, proto, entry, size, opts, emode, attach, probe, hook)
-}
-
-// runObserved is the common simulation core behind RunOne, RunOneObserved,
-// and RunOneProbed: build the machine, optionally attach a sink, a
-// progress probe, and/or an epoch hook, run, verify, measure. No
-// attachment can change a measurement — the sink path is event emission
-// only, the probe is a pair of host-side atomics, and the epoch hook
-// fires on the scheduler goroutine at phase boundaries.
-func runObserved(cfg topology.Config, proto core.Protocol, entry pbbs.Entry, size int, opts hlpl.Options, emode machine.EngineMode, attach func(*machine.Machine) core.Sink, probe *engine.Probe, hook func(engine.EpochEvent)) (Result, error) {
-	m := machine.New(cfg, proto)
-	m.SetEngineMode(emode)
-	if probe != nil {
-		m.SetProbe(probe)
-	}
-	if hook != nil {
-		m.SetEpochHook(hook)
-	}
-	if attach != nil {
-		m.System().SetSink(attach(m))
-	}
-	w := entry.New(size)
-	if w.Prepare != nil {
-		w.Prepare(m)
-	}
-	rt := hlpl.New(m, opts)
-	cycles, err := rt.Run(w.Root)
-	m.System().SetSink(nil)
-	if err != nil {
-		return Result{}, fmt.Errorf("bench: %s on %s/%v: %w", entry.Name, cfg.Name, proto, err)
-	}
-	if err := w.Verify(m); err != nil {
-		return Result{}, fmt.Errorf("bench: %s on %s/%v: verification failed: %w", entry.Name, cfg.Name, proto, err)
-	}
-	model := energy.Default(cfg)
-	ctr := *m.Counters()
-	return Result{
-		Benchmark: entry.Name,
-		Protocol:  proto,
-		Config:    cfg,
-		Size:      size,
-		Cycles:    cycles,
-		Counters:  ctr,
-		Energy:    model.Evaluate(&ctr, cycles, cfg),
-	}, nil
-}
 
 // EventsBenchmarks is the subset profiled by wardenbench -events: strong
 // WARD beneficiaries (primes, dedup), a sort with heavy data movement
@@ -131,7 +37,8 @@ func EventsReport(w io.Writer, cfg topology.Config, sizes SizeClass, names []str
 		}
 		for _, proto := range core.Protocols("mesi", "warden") {
 			met := core.NewMetrics()
-			res, err := RunOneObserved(cfg, proto, e, sizes.pick(e), opts, func(*machine.Machine) core.Sink { return met })
+			res, err := Run(Spec{Config: cfg, Protocol: proto, Entry: e, Size: sizes.pick(e), Opts: opts},
+				Instruments{Sink: func(*machine.Machine) core.Sink { return met }})
 			if err != nil {
 				return err
 			}

@@ -31,11 +31,11 @@ func TestInvariantChecker(t *testing.T) {
 		for _, proto := range core.Protocols("mesi", "warden") {
 			t.Run(name+"/"+proto.String(), func(t *testing.T) {
 				var chk *core.Checker
-				_, err := RunOneObserved(cfg, proto, e, e.Small, hlpl.DefaultOptions(),
-					func(m *machine.Machine) core.Sink {
+				_, err := Run(Spec{Config: cfg, Protocol: proto, Entry: e, Size: e.Small, Opts: hlpl.DefaultOptions()},
+					Instruments{Sink: func(m *machine.Machine) core.Sink {
 						chk = core.NewChecker(m.System())
 						return chk
-					})
+					}})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -61,15 +61,15 @@ func TestObservedMatchesUnobserved(t *testing.T) {
 	}
 	opts := hlpl.DefaultOptions()
 	for _, proto := range core.Protocols("mesi", "warden") {
-		plain, err := RunOne(cfg, proto, e, e.Small, opts)
+		plain, err := Run(Spec{Config: cfg, Protocol: proto, Entry: e, Size: e.Small, Opts: opts}, Instruments{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		met := core.NewMetrics()
-		observed, err := RunOneObserved(cfg, proto, e, e.Small, opts,
-			func(m *machine.Machine) core.Sink {
+		observed, err := Run(Spec{Config: cfg, Protocol: proto, Entry: e, Size: e.Small, Opts: opts},
+			Instruments{Sink: func(m *machine.Machine) core.Sink {
 				return core.Sinks(met, core.NewChecker(m.System()))
-			})
+			}})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -20,8 +20,8 @@ import (
 func observedRun(t *testing.T, emode machine.EngineMode, proto core.Protocol, e pbbs.Entry) (Result, []byte, []byte) {
 	t.Helper()
 	var text, jsonl bytes.Buffer
-	res, err := RunOneObservedOn(emode, topology.XeonGold6126(2), proto, e, Small.pick(e), hlpl.DefaultOptions(),
-		func(*machine.Machine) core.Sink { return trace.NewRecorder(&text, &jsonl) })
+	res, err := Run(Spec{Config: topology.XeonGold6126(2), Protocol: proto, Entry: e, Size: Small.pick(e), Opts: hlpl.DefaultOptions()},
+		Instruments{Engine: emode, Sink: func(*machine.Machine) core.Sink { return trace.NewRecorder(&text, &jsonl) }})
 	if err != nil {
 		t.Fatalf("%s/%v/%v: %v", e.Name, proto, emode, err)
 	}

@@ -4,7 +4,7 @@ package bench
 // Runner, every uncached simulation runs with a telemetry.Capture attached
 // and writes its windowed series, phase table, sharing heatmap, and
 // (optionally) a Perfetto timeline as per-run artifact files. Attaching the
-// capture cannot change any measurement — RunOneObserved's sink sees the run
+// capture cannot change any measurement — Run's sink sees the run
 // without perturbing it (TestTelemetryMatchesUnobserved) — so reports
 // rendered from a telemetry-enabled Runner are byte-identical to a plain
 // one's (TestReportsByteIdenticalWithTelemetry).

@@ -25,8 +25,8 @@ func TestMetricsGoldenCounters(t *testing.T) {
 	for _, proto := range core.Protocols("mesi", "warden") {
 		t.Run(proto.String(), func(t *testing.T) {
 			met := core.NewMetrics()
-			res, err := RunOneObserved(cfg, proto, e, e.Small, hlpl.DefaultOptions(),
-				func(*machine.Machine) core.Sink { return met })
+			res, err := Run(Spec{Config: cfg, Protocol: proto, Entry: e, Size: e.Small, Opts: hlpl.DefaultOptions()},
+				Instruments{Sink: func(*machine.Machine) core.Sink { return met }})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -71,14 +71,14 @@ func TestTelemetryMatchesUnobserved(t *testing.T) {
 	opts := hlpl.DefaultOptions()
 	for _, proto := range core.Protocols("mesi", "warden") {
 		t.Run(proto.String(), func(t *testing.T) {
-			plain, err := RunOne(cfg, proto, e, e.Small, opts)
+			plain, err := Run(Spec{Config: cfg, Protocol: proto, Entry: e, Size: e.Small, Opts: opts}, Instruments{})
 			if err != nil {
 				t.Fatal(err)
 			}
 			var trace bytes.Buffer
 			cap := telemetry.New(telemetry.Config{Topology: cfg, Trace: &trace})
-			observed, err := RunOneObserved(cfg, proto, e, e.Small, opts,
-				func(*machine.Machine) core.Sink { return cap })
+			observed, err := Run(Spec{Config: cfg, Protocol: proto, Entry: e, Size: e.Small, Opts: opts},
+				Instruments{Sink: func(*machine.Machine) core.Sink { return cap }})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -28,11 +28,11 @@ func TestAccumulatorMatchesCounters(t *testing.T) {
 	model := energy.Default(cfg)
 	for _, proto := range core.Protocols("mesi", "warden") {
 		var acc *energy.Accumulator
-		res, err := bench.RunOneObserved(cfg, proto, e, e.Small, hlpl.DefaultOptions(),
-			func(*machine.Machine) core.Sink {
+		res, err := bench.Run(bench.Spec{Config: cfg, Protocol: proto, Entry: e, Size: e.Small, Opts: hlpl.DefaultOptions()},
+			bench.Instruments{Sink: func(*machine.Machine) core.Sink {
 				acc = energy.NewAccumulator(model, cfg)
 				return acc
-			})
+			}})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -211,7 +211,6 @@ type Engine struct {
 	pdes       *PDESConfig
 	pdesParked []*Thread    // threads parked during startup / between epochs
 	parkc      chan pdesMsg // running threads report park/exit/panic here
-	epochHook  func(EpochEvent)
 
 	// Serial-drain state for the current epoch, owned by whichever
 	// goroutine holds the drain baton: the one live serial thread, or the

@@ -3,9 +3,7 @@ package obs
 // CacheStats is the minimal view of a memoizing cache that the metrics
 // plane exports: lookup hit/miss counters plus the live entry count. It is
 // the obs-side mirror of runner.MemoStats (the bench runner's in-process
-// simulation memo) and of the fleet coordinator's content-addressed result
-// cache, so local and distributed cache behaviour share one metrics
-// surface and one family shape.
+// simulation memo).
 type CacheStats struct {
 	Hits    uint64 // lookups satisfied by an existing entry
 	Misses  uint64 // lookups that missed and had to compute (or enqueue)
@@ -15,9 +13,7 @@ type CacheStats struct {
 // CacheFamilies renders one cache's stats as the canonical three-family
 // Prometheus surface: <prefix>_hits_total, <prefix>_misses_total, and
 // <prefix>_entries. subject names the cache in HELP text ("Simulation
-// memo", "Fleet result cache", ...). Every cache exported through obs uses
-// this helper, so dashboards can treat warden_memo_* and
-// warden_fleet_cache_* as the same family shape under different prefixes.
+// memo"). CacheStatsFrom reads the same three families back from a scrape.
 func CacheFamilies(prefix, subject string, s CacheStats) []Family {
 	return []Family{
 		Counter(prefix+"_hits_total",

@@ -2,8 +2,8 @@ package obs
 
 // ParseText is the read side of WriteFamilies: a parser for the Prometheus
 // text exposition format (version 0.0.4), turning a scrape back into
-// []Family so reports can render a coordinator's /metrics — histogram
-// buckets, cache counters — without a Prometheus dependency. It accepts
+// []Family so reports can render a process's /metrics — cache counters —
+// without a Prometheus dependency. It accepts
 // exactly what WriteFamilies emits plus the usual format freedoms (any
 // HELP/TYPE order, untyped samples with no metadata).
 
@@ -11,19 +11,12 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"sort"
 	"strconv"
 	"strings"
 )
 
-// histSuffixes are the sample-name suffixes a histogram family emits under
-// one TYPE line.
-var histSuffixes = []string{"_bucket", "_sum", "_count"}
-
 // ParseText parses a text-format scrape into families, in order of first
-// appearance. Histogram samples (name_bucket/_sum/_count under a TYPE
-// histogram declaration) are folded into their family with Metric.Suffix
-// set, mirroring how Histogram.Family renders them.
+// appearance.
 func ParseText(r io.Reader) ([]Family, error) {
 	byName := make(map[string]*Family)
 	var order []string
@@ -66,9 +59,8 @@ func ParseText(r io.Reader) ([]Family, error) {
 		if err != nil {
 			return nil, fmt.Errorf("obs: parse line %d: %w", lineno, err)
 		}
-		fam, suffix := resolveFamily(byName, name)
-		f := family(fam)
-		f.Metrics = append(f.Metrics, Metric{Labels: labels, Value: value, Suffix: suffix, Seq: len(f.Metrics)})
+		f := family(name)
+		f.Metrics = append(f.Metrics, Metric{Labels: labels, Value: value})
 	}
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("obs: parse: %w", err)
@@ -96,24 +88,6 @@ func unescapeHelp(s string) string {
 		b.WriteByte(s[i])
 	}
 	return b.String()
-}
-
-// resolveFamily maps a sample name onto its declared family: exact match
-// first, then the histogram suffixes against a TYPE histogram family.
-func resolveFamily(byName map[string]*Family, name string) (family, suffix string) {
-	if f, ok := byName[name]; ok && f.Type != "" {
-		return name, ""
-	}
-	for _, s := range histSuffixes {
-		base, ok := strings.CutSuffix(name, s)
-		if !ok {
-			continue
-		}
-		if f, exists := byName[base]; exists && f.Type == "histogram" {
-			return base, s
-		}
-	}
-	return name, ""
 }
 
 // parseSample splits one sample line into name, labels, and value.
@@ -233,29 +207,6 @@ func FindFamily(fams []Family, name string) (Family, bool) {
 		}
 	}
 	return Family{}, false
-}
-
-// LabelValue returns the value of the named label on m ("" if absent).
-func LabelValue(m Metric, name string) string {
-	for _, l := range m.Labels {
-		if l.Name == name {
-			return l.Value
-		}
-	}
-	return ""
-}
-
-// HistogramFamilies returns the parsed histogram families whose name has
-// the given prefix, sorted by name.
-func HistogramFamilies(fams []Family, prefix string) []Family {
-	var out []Family
-	for _, f := range fams {
-		if f.Type == "histogram" && strings.HasPrefix(f.Name, prefix) {
-			out = append(out, f)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
 }
 
 // CacheStatsFrom reassembles a CacheStats from the three families

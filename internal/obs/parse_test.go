@@ -7,23 +7,20 @@ import (
 )
 
 // TestParseTextRoundTrip is the strong parser guarantee: render a mixed
-// set of families (gauges, counters, a histogram, cache stats, escaped
+// set of families (gauges, multi-sample counters, cache stats, escaped
 // label values) with WriteFamilies, parse the text back, render again —
 // the two documents must be byte-identical.
 func TestParseTextRoundTrip(t *testing.T) {
-	h := NewHistogram(0.01, 0.1, 1)
-	h.Observe(0.005)
-	h.Observe(0.5)
-	h.Observe(5)
 	fams := []Family{
-		Gauge("warden_fleet_workers", "Registered workers.", 3),
-		Counter("warden_fleet_units_total", "Units.", 42,
-			Label{Name: "state", Value: "done"}),
+		Gauge("warden_runs_active", "Active runs.", 3),
+		{Name: "warden_runs_total", Help: "Runs.", Type: "counter", Metrics: []Metric{
+			{Labels: []Label{{Name: "state", Value: "ok"}}, Value: 40},
+			{Labels: []Label{{Name: "state", Value: "failed"}}, Value: 2},
+		}},
 		Counter("weird_label_total", "Escapes: \\ and \n here.", 1,
 			Label{Name: "path", Value: `a"b\c` + "\nd"}),
-		h.Family("warden_fleet_span_seconds_execute", "Execute span durations."),
 	}
-	fams = append(fams, CacheFamilies("warden_fleet_cache", "Fleet result cache",
+	fams = append(fams, CacheFamilies("warden_memo", "Simulation memo",
 		CacheStats{Hits: 10, Misses: 2, Entries: 8})...)
 
 	var first bytes.Buffer
@@ -44,48 +41,6 @@ func TestParseTextRoundTrip(t *testing.T) {
 	}
 }
 
-func TestParseTextHistogramShape(t *testing.T) {
-	h := NewHistogram(0.01, 0.1)
-	h.Observe(0.005)
-	h.Observe(0.05)
-	h.Observe(0.05)
-	var buf bytes.Buffer
-	if err := WriteFamilies(&buf, []Family{h.Family("warden_fleet_span_seconds_x", "x")}); err != nil {
-		t.Fatal(err)
-	}
-	fams, err := ParseText(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hs := HistogramFamilies(fams, "warden_fleet_span_seconds_")
-	if len(hs) != 1 {
-		t.Fatalf("got %d histogram families, want 1: %+v", len(hs), fams)
-	}
-	var buckets, sums, counts int
-	for _, m := range hs[0].Metrics {
-		switch m.Suffix {
-		case "_bucket":
-			buckets++
-			if LabelValue(m, "le") == "" {
-				t.Errorf("bucket sample missing le label: %+v", m)
-			}
-		case "_sum":
-			sums++
-			if m.Value < 0.104 || m.Value > 0.106 {
-				t.Errorf("sum = %v, want 0.105", m.Value)
-			}
-		case "_count":
-			counts++
-			if m.Value != 3 {
-				t.Errorf("count = %v, want 3", m.Value)
-			}
-		}
-	}
-	if buckets != 3 || sums != 1 || counts != 1 { // 2 bounds + +Inf
-		t.Fatalf("shape: %d buckets, %d sums, %d counts", buckets, sums, counts)
-	}
-}
-
 func TestCacheStatsFrom(t *testing.T) {
 	var buf bytes.Buffer
 	if err := WriteFamilies(&buf, CacheFamilies("warden_memo", "Memo",
@@ -100,7 +55,7 @@ func TestCacheStatsFrom(t *testing.T) {
 	if !ok || s.Hits != 7 || s.Misses != 3 || s.Entries != 5 {
 		t.Fatalf("CacheStatsFrom = %+v, %v", s, ok)
 	}
-	if _, ok := CacheStatsFrom(fams, "warden_fleet_cache"); ok {
+	if _, ok := CacheStatsFrom(fams, "warden_other_cache"); ok {
 		t.Fatal("found stats for absent prefix")
 	}
 }

@@ -106,12 +106,12 @@ func TestDrainForcesCloseOnDeadline(t *testing.T) {
 // TestCacheFamiliesShape pins the shared cache metrics surface: three
 // families under the given prefix with the hit/miss/entry values.
 func TestCacheFamiliesShape(t *testing.T) {
-	fams := CacheFamilies("warden_fleet_cache", "Fleet result cache",
+	fams := CacheFamilies("warden_memo", "Simulation memo",
 		CacheStats{Hits: 7, Misses: 3, Entries: 5})
 	want := map[string]float64{
-		"warden_fleet_cache_hits_total":   7,
-		"warden_fleet_cache_misses_total": 3,
-		"warden_fleet_cache_entries":      5,
+		"warden_memo_hits_total":   7,
+		"warden_memo_misses_total": 3,
+		"warden_memo_entries":      5,
 	}
 	if len(fams) != len(want) {
 		t.Fatalf("got %d families, want %d", len(fams), len(want))

@@ -1,9 +1,7 @@
 package telemetry
 
 // Host-observability section of the HTML report (wardenreport -metrics):
-// fleet span-duration histograms and cache hit-rates parsed from a
-// Prometheus text scrape, so one artifact carries a fleet run's simulated
-// results and its operational behaviour.
+// cache hit-rates parsed from a Prometheus text scrape.
 
 import (
 	"fmt"
@@ -11,29 +9,7 @@ import (
 	"io"
 )
 
-// HistRow is one histogram bucket, non-cumulative.
-type HistRow struct {
-	LE    string // upper bound label ("0.005", "+Inf")
-	Count uint64 // observations in this bucket (de-cumulated)
-}
-
-// HistView is one rendered histogram family.
-type HistView struct {
-	Name  string
-	Rows  []HistRow
-	Sum   float64
-	Count uint64
-}
-
-// Mean returns the average observation, 0 when empty.
-func (h HistView) Mean() float64 {
-	if h.Count == 0 {
-		return 0
-	}
-	return h.Sum / float64(h.Count)
-}
-
-// CacheView is one cache's hit-rate summary (memo or fleet result cache).
+// CacheView is one cache's hit-rate summary.
 type CacheView struct {
 	Name    string
 	Hits    uint64
@@ -50,16 +26,13 @@ func (c CacheView) HitRate() float64 {
 	return float64(c.Hits) / float64(tot)
 }
 
-// ObsView is the observability section: span histograms and cache stats.
+// ObsView is the observability section: cache stats.
 type ObsView struct {
 	Source string // where the scrape came from (path or URL)
-	Hists  []HistView
 	Caches []CacheView
 }
 
 var obsTmpl = template.Must(template.New("obs").Funcs(template.FuncMap{
-	"f2":  func(v float64) string { return fmt.Sprintf("%.2f", v) },
-	"ms":  func(v float64) string { return fmt.Sprintf("%.1f ms", v*1000) },
 	"pct": func(v float64) string { return fmt.Sprintf("%.1f%%", v*100) },
 }).Parse(`<!DOCTYPE html>
 <html lang="en"><head><meta charset="utf-8"><title>{{.Title}}</title>
@@ -73,16 +46,6 @@ var obsTmpl = template.Must(template.New("obs").Funcs(template.FuncMap{
 {{range .Caches}}<tr><td>{{.Name}}</td><td>{{.Hits}}</td><td>{{.Misses}}</td>
 <td class="{{if ge .HitRate 0.5}}good{{else}}bad{{end}}">{{pct .HitRate}}</td><td>{{.Entries}}</td></tr>
 {{end}}</tbody></table>
-{{end}}
-{{if .Hists}}
-<h2>Fleet span durations</h2>
-{{range .Hists}}
-<h3>{{.Name}}</h3>
-<p class="meta">{{.Count}} observations · total {{f2 .Sum}} s · mean {{ms .Mean}}</p>
-<table><thead><tr><th>≤ seconds</th><th>count</th></tr></thead><tbody>
-{{range .Rows}}<tr><td>{{.LE}}</td><td>{{.Count}}</td></tr>
-{{end}}</tbody></table>
-{{end}}
 {{end}}
 {{end}}
 </body></html>

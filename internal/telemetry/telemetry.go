@@ -62,7 +62,7 @@ const (
 )
 
 // Capture is the telemetry sink. Create with New, attach via core.SetSink
-// (or machine.Machine.SetSink / bench.RunOneObserved), and read the exported
+// (or machine.Machine.SetSink / bench.Instruments.Sink), and read the exported
 // views after the run. Capture is single-threaded like every sink: the
 // simulation engine serializes all cores.
 type Capture struct {

@@ -30,8 +30,8 @@ var recordedSeed = sync.OnceValue(func() string {
 	}
 	var text strings.Builder
 	rec := trace.NewRecorder(&text, nil)
-	if _, err := bench.RunOneObserved(roundtripConfig(), core.WARDen, e, e.Small,
-		hlpl.DefaultOptions(), func(*machine.Machine) core.Sink { return rec }); err != nil {
+	if _, err := bench.Run(bench.Spec{Config: roundtripConfig(), Protocol: core.WARDen, Entry: e, Size: e.Small, Opts: hlpl.DefaultOptions()},
+		bench.Instruments{Sink: func(*machine.Machine) core.Sink { return rec }}); err != nil {
 		panic(err)
 	}
 	if err := rec.Err(); err != nil {

@@ -41,8 +41,8 @@ func TestGzipRoundTrip(t *testing.T) {
 	}
 	var plainJSONL strings.Builder
 	rec := trace.NewRecorder(textW, io.MultiWriter(jsonlW, &plainJSONL))
-	recorded, err := bench.RunOneObserved(cfg, core.WARDen, e, e.Small, hlpl.DefaultOptions(),
-		func(*machine.Machine) core.Sink { return rec })
+	recorded, err := bench.Run(bench.Spec{Config: cfg, Protocol: core.WARDen, Entry: e, Size: e.Small, Opts: hlpl.DefaultOptions()},
+		bench.Instruments{Sink: func(*machine.Machine) core.Sink { return rec }})
 	if err != nil {
 		t.Fatal(err)
 	}

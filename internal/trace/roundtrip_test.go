@@ -37,8 +37,8 @@ func TestRecordReplayRoundTrip(t *testing.T) {
 			t.Run(name+"/"+proto.String(), func(t *testing.T) {
 				var text strings.Builder
 				rec := trace.NewRecorder(&text, nil)
-				recorded, err := bench.RunOneObserved(cfg, proto, e, e.Small, hlpl.DefaultOptions(),
-					func(*machine.Machine) core.Sink { return rec })
+				recorded, err := bench.Run(bench.Spec{Config: cfg, Protocol: proto, Entry: e, Size: e.Small, Opts: hlpl.DefaultOptions()},
+					bench.Instruments{Sink: func(*machine.Machine) core.Sink { return rec }})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -76,8 +76,8 @@ func TestRecorderJSONL(t *testing.T) {
 	}
 	var text, jsonl strings.Builder
 	rec := trace.NewRecorder(&text, &jsonl)
-	if _, err := bench.RunOneObserved(cfg, core.WARDen, e, e.Small, hlpl.DefaultOptions(),
-		func(*machine.Machine) core.Sink { return rec }); err != nil {
+	if _, err := bench.Run(bench.Spec{Config: cfg, Protocol: core.WARDen, Entry: e, Size: e.Small, Opts: hlpl.DefaultOptions()},
+		bench.Instruments{Sink: func(*machine.Machine) core.Sink { return rec }}); err != nil {
 		t.Fatal(err)
 	}
 	if err := rec.Err(); err != nil {
