@@ -1,14 +1,16 @@
+//go:build go1.23
+
 // Package engine is a deterministic, execution-driven multicore simulation
-// engine. Each simulated hardware thread is a goroutine running real Go
-// code (the HLPL runtime plus benchmark); whenever that code performs a
-// simulated operation (load, store, compute, ...) the goroutine parks and
-// the engine decides when — in simulated time — the operation happens.
+// engine. Each simulated hardware thread runs real Go code (the HLPL runtime
+// plus benchmark); whenever that code performs a simulated operation (load,
+// store, compute, ...) the thread parks and the engine decides when — in
+// simulated time — the operation happens.
 //
 // Determinism comes from two rules:
 //
 //  1. Exactly one goroutine runs simulator or program state at any instant.
 //     Control passes from goroutine to goroutine through explicit
-//     handoffs; nothing else runs in between.
+//     switches; nothing else runs in between.
 //  2. Among parked threads, the engine always executes the operation of the
 //     thread with the smallest local clock, breaking ties by thread id.
 //
@@ -16,33 +18,37 @@
 // locks anywhere — and every run of the same program is bit-identical,
 // which the test suite asserts.
 //
-// The scheduler is decentralized for host speed. There is no engine
-// goroutine in the hot loop; two mechanisms keep the op rate high:
+// Two mechanisms keep the host cost per op low:
 //
 //   - Inline lease: when a thread is resumed it learns the smallest
 //     (clock, id) among every *other* parked thread. While its own
 //     (clock, id) stays below that horizon, its next operation is by
 //     definition the one rule 2 would pick, so Thread.Call executes the
-//     handler inline on the thread's own goroutine with no handoff and no
+//     handler inline on the thread's own goroutine with no switch and no
 //     scheduling structure touched at all. The horizon cannot go stale:
 //     other threads' clocks only move while this thread is parked.
 //
-//   - Direct handoff: when a thread's clock catches up to the horizon it
-//     parks itself in the scheduler heap, pops the new global minimum
-//     thread, executes that thread's pending operation on the *current*
-//     goroutine (handlers are goroutine-agnostic), and wakes it — one
-//     channel handoff per op instead of the two an engine-in-the-middle
-//     design pays.
+//   - Coroutine switch: each thread body runs as a coroutine (iter.Pull).
+//     When a thread's clock catches up to the horizon it pushes its
+//     pending operation onto the scheduler heap and yields to Run's driver
+//     loop, which pops the global minimum, executes that thread's
+//     operation, grants it a fresh lease, and resumes it. A yield or a
+//     resume is a direct goroutine switch in the Go runtime: no channel
+//     operation and no trip through the host scheduler's run queue.
 //
 // Both paths execute handlers in exactly the (clock, id) serialized order,
 // and the body code between two of a thread's operations always runs
 // immediately after the first operation's handler — identical to a
 // centralized engine, so simulated results are unchanged to the bit.
+//
+// The PDES scheduler (pdes.go) keeps real goroutines and channel handoffs,
+// because its concurrent phase runs thread bodies in parallel.
 package engine
 
 import (
 	"errors"
 	"fmt"
+	"iter"
 	"sync/atomic"
 )
 
@@ -89,8 +95,8 @@ type LocalOp interface{ EngineLocal() }
 // Handler executes op on behalf of t and returns how many cycles t's local
 // clock advances. Handlers run while every other thread is parked and may
 // freely mutate simulator state; the goroutine they run on varies (the
-// issuing thread's on the inline path, the previous thread's on a handoff)
-// but is always the only one running.
+// issuing thread's on the inline path, Run's after a park) but is always
+// the only one running.
 type Handler func(t *Thread, op Op) (advance uint64)
 
 // Thread is one simulated hardware thread.
@@ -106,7 +112,7 @@ type Thread struct {
 	// parked threads, refreshed by the scheduler before each wake. While
 	// (now, id) precedes (horizonNow, horizonID) this thread is the one the
 	// scheduler would pick, so Call runs the handler inline with no
-	// handshake. The PDES serial drain reuses the same pair as its global
+	// switch. The PDES serial drain reuses the same pair as its global
 	// lease (see pdes.go).
 	horizonNow uint64
 	horizonID  int
@@ -129,8 +135,8 @@ func (t *Thread) Now() uint64 { return t.now }
 // clock by the handler's result). It must only be called from the thread's
 // own body. While the thread holds the inline lease — its clock strictly
 // precedes every other parked thread's — the handler runs immediately on
-// this goroutine; otherwise the thread parks and hands control to the
-// thread with the smallest clock.
+// this goroutine; otherwise the thread parks and Run's driver loop runs
+// the thread with the smallest clock.
 func (t *Thread) Call(op Op) {
 	e := t.eng
 	if e.pdes != nil {
@@ -140,8 +146,8 @@ func (t *Thread) Call(op Op) {
 	if (t.now < t.horizonNow || (t.now == t.horizonNow && t.id < t.horizonID)) &&
 		(e.MaxCycles == 0 || t.now <= e.MaxCycles) {
 		// This thread is the scheduler's next pick: executing inline is
-		// bit-identical to parking and being rescheduled, minus the
-		// handoff. (Past MaxCycles, fall through so the scheduler raises
+		// bit-identical to parking and being rescheduled, minus the two
+		// switches. (Past MaxCycles, fall through so the scheduler raises
 		// ErrMaxCycles exactly as a centralized engine would.)
 		adv := e.handler(t, op)
 		t.now += adv
@@ -153,33 +159,31 @@ func (t *Thread) Call(op Op) {
 	t.park(op)
 }
 
-// park is Call's slow path: enqueue op, run the scheduling step, transfer
-// control, and wait to be rescheduled.
+// park is Call's slow path: push op onto the scheduler heap and switch to
+// Run's driver loop, which executes the op in (clock, id) order and then
+// resumes this thread. A false yield means Run is abandoning the run
+// (ErrMaxCycles or a panic elsewhere): unwind the body so its goroutine
+// exits instead of pinning its stack.
 func (t *Thread) park(op Op) {
 	e := t.eng
 	t.pending = op
 	e.heap.push(t)
-	if !e.running {
-		// Startup: Run drives scheduling; just report that this thread
-		// reached its first operation.
-		e.startc <- nil
-		<-t.res
-		return
+	if !e.co[t.id].yield(struct{}{}) {
+		panic(errStopped)
 	}
-	u := e.schedule()
-	if u == t {
-		// Unreachable while the lease is granted eagerly (the lease
-		// condition is the pick condition), but harmless: t's op already
-		// executed, so just continue.
-		return
-	}
-	if u != nil {
-		u.res <- struct{}{}
-	}
-	// On a scheduler-raised error (u == nil) nobody ever wakes this
-	// goroutine; it pins its stack until the process exits, exactly like
-	// the parked threads a centralized engine abandons when Run errors.
-	<-t.res
+}
+
+// errStopped unwinds a parked body whose coroutine Run stopped. Only the
+// coroutine wrapper (see bodySeq) recovers it.
+var errStopped = errors.New("engine: run abandoned while thread was parked")
+
+// coroutine is the sequential scheduler's handle on one thread body. It
+// lives in Engine.co, indexed by thread id, rather than in Thread so the
+// PDES-hot Thread fields keep their layout.
+type coroutine struct {
+	next  func() (struct{}, bool) // resume the body until it parks or exits
+	stop  func()                  // unwind a parked body (its yield reports false)
+	yield func(struct{}) bool     // the body's half of the switch, used by park
 }
 
 // Engine runs a set of threads to completion. Create with New.
@@ -187,12 +191,9 @@ type Engine struct {
 	threads []*Thread
 	handler Handler
 
-	heap clockHeap
-
-	running bool       // startup complete; threads schedule each other
-	final   uint64     // maximum clock observed (the global clock)
-	startc  chan any   // startup: thread parked/exited (nil) or panicked (value)
-	donec   chan attic // terminal outcome for Run
+	heap  clockHeap
+	co    []coroutine // sequential scheduler: one coroutine per thread
+	final uint64      // maximum clock observed (the global clock)
 
 	// MaxCycles aborts the run when every runnable thread's clock exceeds
 	// it — a guard against deadlocked simulated programs. Zero means no
@@ -203,12 +204,14 @@ type Engine struct {
 	// predictable branch per op.
 	probe *Probe
 
-	// ran guards Run against double invocation (the channels and heap are
-	// single-use; a second Run would silently corrupt them).
+	// ran guards Run against double invocation (the coroutines, channels
+	// and heap are single-use; a second Run would silently corrupt them).
 	ran bool
 
 	// PDES scheduler state (nil selects the sequential scheduler).
 	pdes       *PDESConfig
+	running    bool         // startup complete; the epoch loop is scheduling
+	startc     chan any     // startup: thread parked/exited (nil) or panicked (value)
 	pdesParked []*Thread    // threads parked during startup / between epochs
 	parkc      chan pdesMsg // running threads report park/exit/panic here
 
@@ -224,13 +227,6 @@ type Engine struct {
 // SetProbe attaches a live progress probe. Call before Run; the probe may
 // be shared across engines.
 func (e *Engine) SetProbe(p *Probe) { e.probe = p }
-
-// attic is the terminal state Run recovers from the last scheduling step.
-type attic struct {
-	final  uint64
-	err    error
-	panicv any
-}
 
 // ErrMaxCycles is returned by Run when the cycle guard trips.
 var ErrMaxCycles = errors.New("engine: exceeded MaxCycles (simulated program deadlocked or runaway)")
@@ -257,79 +253,39 @@ func (e *Engine) SetBody(id int, body func(*Thread)) {
 	e.threads[id].body = body
 }
 
-// schedule pops the thread with the smallest (clock, id), executes its
-// pending operation on the current goroutine, grants it a fresh inline
-// lease, and returns it for the caller to wake. On a tripped cycle guard it
-// reports the terminal outcome instead and returns nil.
-func (e *Engine) schedule() *Thread {
-	u := e.heap.pop()
-	if e.MaxCycles > 0 && u.now > e.MaxCycles {
-		e.donec <- attic{final: u.now, err: ErrMaxCycles}
-		return nil
-	}
-	op := u.pending
-	u.pending = nil
-	adv := e.handler(u, op)
-	u.now += adv
-	if p := e.probe; p != nil {
-		p.note(adv)
-	}
-	if u.now > e.final {
-		e.final = u.now
-	}
-	if e.heap.len() > 0 {
-		r := e.heap.a[0]
-		u.horizonNow, u.horizonID = r.now, r.id
-	} else {
-		u.horizonNow, u.horizonID = ^uint64(0), int(^uint(0)>>1)
-	}
-	return u
-}
-
-// launch starts t's body on its own goroutine. The wrapper turns body
-// completion into a scheduling step (or a startup/terminal notification)
-// and forwards panics so they surface from Run instead of deadlocking.
-func (e *Engine) launch(t *Thread) {
-	go func() {
+// bodySeq wraps t's body as the coroutine Run pulls. The deferred recover
+// swallows only errStopped, so a body's own panic still surfaces from the
+// next() call that resumed it, and from there from Run.
+func (e *Engine) bodySeq(t *Thread) iter.Seq[struct{}] {
+	return func(yield func(struct{}) bool) {
+		e.co[t.id].yield = yield
 		defer func() {
-			if e.pdes != nil && e.running {
-				// PDES: the coordinator owns termination; report the exit
-				// (or panic) and let it account the final clock.
-				e.parkc <- pdesMsg{t: t, exited: true, panicv: recover()}
-				return
-			}
-			if r := recover(); r != nil {
-				if !e.running {
-					e.startc <- r
-				} else {
-					e.donec <- attic{panicv: r}
-				}
-				return
-			}
-			if t.now > e.final {
-				e.final = t.now
-			}
-			if !e.running {
-				e.startc <- nil
-				return
-			}
-			if e.heap.len() == 0 {
-				// Last thread out reports the final clock.
-				e.donec <- attic{final: e.final}
-				return
-			}
-			if u := e.schedule(); u != nil {
-				u.res <- struct{}{}
+			if r := recover(); r != nil && r != errStopped {
+				panic(r)
 			}
 		}()
 		t.body(t)
-	}()
+	}
+}
+
+// resume runs t's body until its next park or exit, folding an exited
+// body's clock into the global clock.
+func (e *Engine) resume(t *Thread) {
+	if _, parked := e.co[t.id].next(); !parked && t.now > e.final {
+		e.final = t.now
+	}
 }
 
 // Run executes all thread bodies to completion and returns the final global
 // clock (the maximum thread-local clock). It can only be called once:
-// the scheduling channels and parked-thread structures are single-use, so
-// a second call panics rather than silently corrupting them.
+// the coroutines and parked-thread structures are single-use, so a second
+// call panics rather than silently corrupting them.
+//
+// Run's goroutine is the driver: it pops the parked thread with the
+// smallest (clock, id), executes its pending operation, grants it a fresh
+// inline lease, and resumes it until it parks again. On every exit path —
+// completion, ErrMaxCycles, or a panic from a body or handler — it stops
+// every coroutine, so no thread goroutine outlives the run.
 func (e *Engine) Run() (uint64, error) {
 	if e.ran {
 		panic("engine: Run called twice on the same Engine (create a new Engine per run)")
@@ -338,39 +294,55 @@ func (e *Engine) Run() (uint64, error) {
 	if e.pdes != nil {
 		return e.runPDES()
 	}
-	e.heap.a = make([]*Thread, 0, len(e.threads))
-	e.startc = make(chan any)
-	e.donec = make(chan attic, 1)
-
-	// Start threads one at a time; a freshly started thread runs until its
-	// first op (or exit), so only one goroutine is ever live. The inline
-	// lease stays revoked (horizon (0, -1)) until the full parked set is
-	// known.
 	for _, t := range e.threads {
 		if t.body == nil {
 			panic(fmt.Sprintf("engine: thread %d has no body", t.id))
 		}
-		t.horizonNow, t.horizonID = 0, -1
-		e.launch(t)
-		if v := <-e.startc; v != nil {
-			panic(v)
-		}
 	}
-	if e.heap.len() == 0 {
-		return e.final, nil // every body exited without a single op
+	e.heap.a = make([]*Thread, 0, len(e.threads))
+	e.co = make([]coroutine, len(e.threads))
+	defer func() {
+		for _, c := range e.co {
+			if c.stop != nil {
+				c.stop()
+			}
+		}
+	}()
+
+	// Start threads one at a time; each runs until its first op (or exit).
+	// The inline lease stays revoked (horizon (0, -1)) until the full
+	// parked set is known.
+	for _, t := range e.threads {
+		t.horizonNow, t.horizonID = 0, -1
+		c := &e.co[t.id]
+		c.next, c.stop = iter.Pull(e.bodySeq(t))
+		e.resume(t)
 	}
 
-	// Kick off decentralized scheduling: execute the first op here, wake
-	// its thread, and wait for the last scheduling step to report back.
-	e.running = true
-	if u := e.schedule(); u != nil {
-		u.res <- struct{}{}
+	for e.heap.len() > 0 {
+		u := e.heap.pop()
+		if e.MaxCycles > 0 && u.now > e.MaxCycles {
+			return u.now, ErrMaxCycles
+		}
+		op := u.pending
+		u.pending = nil
+		adv := e.handler(u, op)
+		u.now += adv
+		if p := e.probe; p != nil {
+			p.note(adv)
+		}
+		if u.now > e.final {
+			e.final = u.now
+		}
+		if e.heap.len() > 0 {
+			r := e.heap.a[0]
+			u.horizonNow, u.horizonID = r.now, r.id
+		} else {
+			u.horizonNow, u.horizonID = ^uint64(0), int(^uint(0)>>1)
+		}
+		e.resume(u)
 	}
-	out := <-e.donec
-	if out.panicv != nil {
-		panic(out.panicv)
-	}
-	return out.final, out.err
+	return e.final, nil
 }
 
 // clockHeap is a binary min-heap of parked threads ordered by (now, id) —

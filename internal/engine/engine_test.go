@@ -2,7 +2,9 @@ package engine
 
 import (
 	"errors"
+	"runtime"
 	"testing"
+	"time"
 )
 
 // simpleOp advances a thread's clock by its value.
@@ -208,5 +210,108 @@ func TestProbeCountsCyclesAndOps(t *testing.T) {
 	cycles, ops = p.Sample()
 	if ops != 20 || cycles != 60 {
 		t.Fatalf("shared probe = (%d cycles, %d ops), want (60, 20)", cycles, ops)
+	}
+}
+
+// lockstep builds an n-thread engine whose threads each issue ops
+// unit-cycle operations. Every thread advances in lockstep, so each op
+// after the first parks and resumes through the scheduler.
+func lockstep(n, ops int) *Engine {
+	e := New(n, func(_ *Thread, op Op) uint64 { return 1 })
+	for i := 0; i < n; i++ {
+		e.SetBody(i, func(th *Thread) {
+			for k := 0; k < ops; k++ {
+				th.Call(nil)
+			}
+		})
+	}
+	return e
+}
+
+// settledGoroutines waits briefly for the goroutine count to fall to want
+// and returns the last count seen.
+func settledGoroutines(want int) int {
+	deadline := time.Now().Add(2 * time.Second)
+	for {
+		n := runtime.NumGoroutine()
+		if n <= want || time.Now().After(deadline) {
+			return n
+		}
+		runtime.Gosched()
+	}
+}
+
+// TestMaxCyclesReleasesThreads: a run aborted by the cycle guard must not
+// leave its parked threads' goroutines behind.
+func TestMaxCyclesReleasesThreads(t *testing.T) {
+	before := runtime.NumGoroutine()
+	for r := 0; r < 20; r++ {
+		e := New(4, func(_ *Thread, op Op) uint64 { return 100 })
+		e.MaxCycles = 1000
+		for i := 0; i < 4; i++ {
+			e.SetBody(i, func(th *Thread) {
+				for { // simulated runaway
+					th.Call(nil)
+				}
+			})
+		}
+		if _, err := e.Run(); !errors.Is(err, ErrMaxCycles) {
+			t.Fatalf("run %d: err = %v, want ErrMaxCycles", r, err)
+		}
+	}
+	if after := settledGoroutines(before); after != before {
+		t.Fatalf("goroutines: %d before 20 aborted runs, %d after", before, after)
+	}
+}
+
+// TestPanicReleasesThreads: a body panic must surface from Run with its own
+// value and must not leave the other threads' goroutines behind.
+func TestPanicReleasesThreads(t *testing.T) {
+	before := runtime.NumGoroutine()
+	for r := 0; r < 20; r++ {
+		e := New(4, func(_ *Thread, op Op) uint64 { return 1 })
+		for i := 0; i < 4; i++ {
+			i := i
+			e.SetBody(i, func(th *Thread) {
+				for k := 0; k < 10; k++ {
+					th.Call(nil)
+				}
+				if i == 2 {
+					panic("boom")
+				}
+				for {
+					th.Call(nil)
+				}
+			})
+		}
+		func() {
+			defer func() {
+				if v := recover(); v != "boom" {
+					t.Fatalf("run %d: recovered %v, want boom", r, v)
+				}
+			}()
+			e.Run()
+			t.Fatalf("run %d: Run returned despite body panic", r)
+		}()
+	}
+	if after := settledGoroutines(before); after != before {
+		t.Fatalf("goroutines: %d before 20 panicked runs, %d after", before, after)
+	}
+}
+
+// TestParkAllocatesNothingPerOp: a lockstep run parks on every op, yet its
+// allocations must not grow with the op count — only per-thread coroutine
+// setup allocates, never a park/resume switch.
+func TestParkAllocatesNothingPerOp(t *testing.T) {
+	const n = 500
+	allocs := func(ops int) float64 {
+		return testing.AllocsPerRun(20, func() {
+			if _, err := lockstep(4, ops).Run(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if a, b := allocs(n), allocs(2*n); a != b {
+		t.Fatalf("allocations per run: %v at %d ops/thread, %v at %d", a, n, b, 2*n)
 	}
 }

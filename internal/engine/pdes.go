@@ -202,6 +202,32 @@ func (e *Engine) wakeNextDrain() bool {
 	return true
 }
 
+// launch starts t's body on its own goroutine. The wrapper turns body
+// completion into a startup notification or, once the epoch loop runs, a
+// report to the coordinator, and forwards panics so they surface from Run
+// instead of deadlocking.
+func (e *Engine) launch(t *Thread) {
+	go func() {
+		defer func() {
+			if e.running {
+				// The coordinator owns termination; report the exit (or
+				// panic) and let it account the final clock.
+				e.parkc <- pdesMsg{t: t, exited: true, panicv: recover()}
+				return
+			}
+			if r := recover(); r != nil {
+				e.startc <- r
+				return
+			}
+			if t.now > e.final {
+				e.final = t.now
+			}
+			e.startc <- nil
+		}()
+		t.body(t)
+	}()
+}
+
 // runPDES is Run under the PDES scheduler: the epoch coordinator. It runs
 // on Run's goroutine and owns all scheduling decisions; thread goroutines
 // only ever run between a wake (res) and their next park (parkc).

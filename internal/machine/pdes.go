@@ -26,7 +26,7 @@ import (
 type EngineMode int
 
 const (
-	// EngineSequential is the default lease/handoff scheduler: one
+	// EngineSequential is the default lease/coroutine scheduler: one
 	// goroutine live at a time, the determinism ground truth.
 	EngineSequential EngineMode = iota
 	// EnginePDES is the conservative epoch-window parallel scheduler;
