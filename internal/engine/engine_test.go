@@ -213,23 +213,10 @@ func TestProbeCountsCyclesAndOps(t *testing.T) {
 	}
 }
 
-// lockstep builds an n-thread engine whose threads each issue ops
-// unit-cycle operations. Every thread advances in lockstep, so each op
-// after the first parks and resumes through the scheduler.
-func lockstep(n, ops int) *Engine {
-	e := New(n, func(_ *Thread, op Op) uint64 { return 1 })
-	for i := 0; i < n; i++ {
-		e.SetBody(i, func(th *Thread) {
-			for k := 0; k < ops; k++ {
-				th.Call(nil)
-			}
-		})
-	}
-	return e
-}
-
 // settledGoroutines waits briefly for the goroutine count to fall to want
-// and returns the last count seen.
+// and returns the last count seen. The count may also end below want: a
+// goroutine of an earlier test can still be exiting when a test samples
+// its starting count.
 func settledGoroutines(want int) int {
 	deadline := time.Now().Add(2 * time.Second)
 	for {
@@ -259,7 +246,7 @@ func TestMaxCyclesReleasesThreads(t *testing.T) {
 			t.Fatalf("run %d: err = %v, want ErrMaxCycles", r, err)
 		}
 	}
-	if after := settledGoroutines(before); after != before {
+	if after := settledGoroutines(before); after > before {
 		t.Fatalf("goroutines: %d before 20 aborted runs, %d after", before, after)
 	}
 }
@@ -294,7 +281,7 @@ func TestPanicReleasesThreads(t *testing.T) {
 			t.Fatalf("run %d: Run returned despite body panic", r)
 		}()
 	}
-	if after := settledGoroutines(before); after != before {
+	if after := settledGoroutines(before); after > before {
 		t.Fatalf("goroutines: %d before 20 panicked runs, %d after", before, after)
 	}
 }
@@ -306,7 +293,15 @@ func TestParkAllocatesNothingPerOp(t *testing.T) {
 	const n = 500
 	allocs := func(ops int) float64 {
 		return testing.AllocsPerRun(20, func() {
-			if _, err := lockstep(4, ops).Run(); err != nil {
+			e := New(4, func(_ *Thread, op Op) uint64 { return 1 })
+			for i := 0; i < 4; i++ {
+				e.SetBody(i, func(th *Thread) {
+					for k := 0; k < ops; k++ {
+						th.Call(nil)
+					}
+				})
+			}
+			if _, err := e.Run(); err != nil {
 				t.Fatal(err)
 			}
 		})
