@@ -30,8 +30,8 @@
 //
 //   - Coroutine switch: each thread body runs as a coroutine (iter.Pull).
 //     When a thread's clock catches up to the horizon it pushes its
-//     pending operation onto the scheduler heap and yields to Run's driver
-//     loop, which pops the global minimum, executes that thread's
+//     pending operation onto the scheduler heap and yields to Run's
+//     scheduling loop, which pops the global minimum, executes that thread's
 //     operation, grants it a fresh lease, and resumes it. A yield or a
 //     resume is a direct goroutine switch in the Go runtime: no channel
 //     operation and no trip through the host scheduler's run queue.
@@ -135,7 +135,7 @@ func (t *Thread) Now() uint64 { return t.now }
 // clock by the handler's result). It must only be called from the thread's
 // own body. While the thread holds the inline lease — its clock strictly
 // precedes every other parked thread's — the handler runs immediately on
-// this goroutine; otherwise the thread parks and Run's driver loop runs
+// this goroutine; otherwise the thread parks and Run's scheduling loop runs
 // the thread with the smallest clock.
 func (t *Thread) Call(op Op) {
 	e := t.eng
@@ -160,7 +160,7 @@ func (t *Thread) Call(op Op) {
 }
 
 // park is Call's slow path: push op onto the scheduler heap and switch to
-// Run's driver loop, which executes the op in (clock, id) order and then
+// Run's scheduling loop, which executes the op in (clock, id) order and then
 // resumes this thread. A false yield means Run is abandoning the run
 // (ErrMaxCycles or a panic elsewhere): unwind the body so its goroutine
 // exits instead of pinning its stack.
@@ -281,7 +281,7 @@ func (e *Engine) resume(t *Thread) {
 // the coroutines and parked-thread structures are single-use, so a second
 // call panics rather than silently corrupting them.
 //
-// Run's goroutine is the driver: it pops the parked thread with the
+// Run's goroutine is the scheduling loop: it pops the parked thread with the
 // smallest (clock, id), executes its pending operation, grants it a fresh
 // inline lease, and resumes it until it parks again. On every exit path —
 // completion, ErrMaxCycles, or a panic from a body or handler — it stops
