@@ -7,6 +7,12 @@
 // *data* is not stored here — canonical data lives in internal/mem, and
 // WARD-state private copies live in the protocol layer — so the tag arrays
 // stay cheap even for large simulated footprints.
+//
+// A tag array is allocated on first touch: New allocates only a 4-byte
+// index entry per set, and a set's 16-byte lines come into existence when
+// the first block is inserted into it. A many-socket machine whose
+// program touches a few thousand blocks therefore costs kilobytes, not
+// the tens of megabytes its full L1/L2/L3 geometry would.
 package cache
 
 import (
@@ -81,13 +87,29 @@ func (m SectorMask) Count() int { return bits.OnesCount64(uint64(m)) }
 // Overlaps reports whether two masks mark any common sector.
 func (m SectorMask) Overlaps(o SectorMask) bool { return m&o != 0 }
 
-// Line is one cache line's metadata. (W-state write masks live with the
-// private block copies in internal/core, not in the tag array.)
+// Line is one cache line's metadata: 16 bytes, the block address plus the
+// state and a 48-bit LRU stamp packed into the second word. (W-state write
+// masks live with the private block copies in internal/core, not in the tag
+// array.)
 type Line struct {
 	Addr  mem.Addr // block-aligned address; meaningful only when State != Invalid
 	State State
-	lru   uint64
+	lruHi uint16 // LRU stamp bits 32..47
+	lruLo uint32 // LRU stamp bits 0..31
 }
+
+func (l *Line) lru() uint64 { return uint64(l.lruHi)<<32 | uint64(l.lruLo) }
+
+func (l *Line) setLRU(t uint64) { l.lruHi, l.lruLo = uint16(t>>32), uint32(t) }
+
+// maxTick bounds the LRU clock to what a Line's 48-bit stamp holds. At one
+// tick per access a run would need years of host time to reach it, so
+// overflow is a bug, not a case to handle by wrapping.
+const maxTick = 1<<48 - 1
+
+// chunkLines is the target size, in lines, of one allocation of set
+// storage (8 KiB of 16-byte lines).
+const chunkLines = 512
 
 // Eviction describes a block displaced by an insertion.
 type Eviction struct {
@@ -96,13 +118,25 @@ type Eviction struct {
 }
 
 // Cache is a set-associative tag array. Create with New.
+//
+// Sets are allocated on first touch. index maps a set number to 1 + the
+// slot its lines occupy, or 0 for a set nothing was ever inserted into (it
+// holds no valid line, so lookups miss without touching set storage).
+// Slots are handed out densely in first-touch order and live in fixed-size
+// chunks that never move, so *Line pointers stay valid and a run allocates
+// only the sets it touches, rounded up to one chunk. index and the lines
+// are pointer-free; the GC scans only the short chunks list.
 type Cache struct {
-	name      string
-	blockSize uint64
-	numSets   uint64
-	assoc     int
-	sets      []Line // numSets * assoc, row-major
-	tick      uint64 // global LRU clock
+	name       string
+	blockSize  uint64
+	numSets    uint64
+	assoc      int
+	index      []uint32 // per set: 1 + slot, 0 = never touched
+	chunks     [][]Line // slot s is chunks[s>>chunkShift], lines at (s&chunkMask)*assoc
+	chunkShift uint
+	chunkMask  uint32
+	slots      uint32 // slots handed out
+	tick       uint64 // global LRU clock
 
 	// Counters maintained for the evaluation (Figs. 9 and 10 count
 	// invalidations and downgrades per cache).
@@ -129,12 +163,20 @@ func New(name string, size uint64, assoc int, blockSize uint64) *Cache {
 		// slices) still work, just with a power-of-two index.
 		numSets = uint64(1) << (bits.Len64(numSets) - 1)
 	}
+	// A chunk holds a power-of-two number of sets, about chunkLines lines,
+	// and never more sets than the cache has.
+	shift := uint(0)
+	for uint64(2)<<shift <= numSets && (2<<shift)*assoc <= chunkLines {
+		shift++
+	}
 	return &Cache{
-		name:      name,
-		blockSize: blockSize,
-		numSets:   numSets,
-		assoc:     assoc,
-		sets:      make([]Line, numSets*uint64(assoc)),
+		name:       name,
+		blockSize:  blockSize,
+		numSets:    numSets,
+		assoc:      assoc,
+		index:      make([]uint32, numSets),
+		chunkShift: shift,
+		chunkMask:  1<<shift - 1,
 	}
 }
 
@@ -144,9 +186,48 @@ func (c *Cache) Name() string { return c.name }
 // BlockSize returns the cache's block size in bytes.
 func (c *Cache) BlockSize() uint64 { return c.blockSize }
 
+// set returns the lines of the set whose index entry is ref (nonzero).
+func (c *Cache) set(ref uint32) []Line {
+	s := ref - 1
+	base := int(s&c.chunkMask) * c.assoc
+	return c.chunks[s>>c.chunkShift][base : base+c.assoc]
+}
+
+// setIndex returns the number of the set addr maps to.
+func (c *Cache) setIndex(addr mem.Addr) uint64 {
+	return (uint64(addr) / c.blockSize) & (c.numSets - 1)
+}
+
+// setOf returns addr's set, or nil if nothing was ever inserted into it.
 func (c *Cache) setOf(addr mem.Addr) []Line {
-	idx := (uint64(addr) / c.blockSize) & (c.numSets - 1)
-	return c.sets[idx*uint64(c.assoc) : (idx+1)*uint64(c.assoc)]
+	ref := c.index[c.setIndex(addr)]
+	if ref == 0 {
+		return nil
+	}
+	return c.set(ref)
+}
+
+// touch returns addr's set, allocating it on first use.
+func (c *Cache) touch(addr mem.Addr) []Line {
+	idx := c.setIndex(addr)
+	if ref := c.index[idx]; ref != 0 {
+		return c.set(ref)
+	}
+	if c.slots>>c.chunkShift == uint32(len(c.chunks)) {
+		c.chunks = append(c.chunks, make([]Line, (c.chunkMask+1)*uint32(c.assoc)))
+	}
+	c.slots++
+	c.index[idx] = c.slots
+	return c.set(c.slots)
+}
+
+// stamp advances the LRU clock and returns the new time.
+func (c *Cache) stamp() uint64 {
+	if c.tick == maxTick {
+		panic(fmt.Sprintf("cache %s: LRU clock overflowed 48 bits", c.name))
+	}
+	c.tick++
+	return c.tick
 }
 
 // Lookup finds the line holding addr's block. It returns nil if the block is
@@ -156,8 +237,7 @@ func (c *Cache) Lookup(addr mem.Addr) *Line {
 	set := c.setOf(block)
 	for i := range set {
 		if set[i].State != Invalid && set[i].Addr == block {
-			c.tick++
-			set[i].lru = c.tick
+			set[i].setLRU(c.stamp())
 			return &set[i]
 		}
 	}
@@ -183,33 +263,37 @@ func (c *Cache) Peek(addr mem.Addr) *Line {
 // that is already present just updates its state.
 func (c *Cache) Insert(addr mem.Addr, st State) (Eviction, bool) {
 	block := addr.Block(c.blockSize)
-	if ln := c.Lookup(block); ln != nil {
-		ln.State = st
-		return Eviction{}, false
-	}
-	set := c.setOf(block)
-	victim := -1
+	set := c.touch(block)
+	// One pass finds a hit, else the first free way, else the valid way
+	// with the oldest stamp (the first such way on a tie).
+	free, oldest := -1, -1
+	var oldestLRU uint64
 	for i := range set {
-		if set[i].State == Invalid {
-			victim = i
-			break
+		ln := &set[i]
+		switch {
+		case ln.State == Invalid:
+			if free < 0 {
+				free = i
+			}
+		case ln.Addr == block:
+			ln.setLRU(c.stamp())
+			ln.State = st
+			return Eviction{}, false
+		case oldest < 0 || ln.lru() < oldestLRU:
+			oldest, oldestLRU = i, ln.lru()
 		}
 	}
 	var ev Eviction
 	evicted := false
+	victim := free
 	if victim < 0 {
-		victim = 0
-		for i := 1; i < len(set); i++ {
-			if set[i].lru < set[victim].lru {
-				victim = i
-			}
-		}
+		victim = oldest
 		ev = Eviction{Addr: set[victim].Addr, State: set[victim].State}
 		evicted = true
 		c.Evictions++
 	}
-	c.tick++
-	set[victim] = Line{Addr: block, State: st, lru: c.tick}
+	set[victim] = Line{Addr: block, State: st}
+	set[victim].setLRU(c.stamp())
 	return ev, evicted
 }
 
@@ -217,16 +301,13 @@ func (c *Cache) Insert(addr mem.Addr, st State) (Eviction, bool) {
 // decides whether this counts as a coherence invalidation (counted via
 // CountInvalidation) or a silent drop.
 func (c *Cache) Invalidate(addr mem.Addr) State {
-	block := addr.Block(c.blockSize)
-	set := c.setOf(block)
-	for i := range set {
-		if set[i].State != Invalid && set[i].Addr == block {
-			st := set[i].State
-			set[i] = Line{}
-			return st
-		}
+	ln := c.Peek(addr)
+	if ln == nil {
+		return Invalid
 	}
-	return Invalid
+	st := ln.State
+	*ln = Line{}
+	return st
 }
 
 // CountInvalidation records a coherence-driven invalidation at this cache.
@@ -237,11 +318,17 @@ func (c *Cache) CountInvalidation() { c.Invalidations++ }
 func (c *Cache) CountDowngrade() { c.Downgrades++ }
 
 // ForEach calls fn for every valid line. Iteration order is deterministic
-// (set-major). fn must not insert or invalidate lines.
+// (by set index, then by way). fn must not insert or invalidate lines.
 func (c *Cache) ForEach(fn func(*Line)) {
-	for i := range c.sets {
-		if c.sets[i].State != Invalid {
-			fn(&c.sets[i])
+	for _, ref := range c.index {
+		if ref == 0 {
+			continue
+		}
+		set := c.set(ref)
+		for i := range set {
+			if set[i].State != Invalid {
+				fn(&set[i])
+			}
 		}
 	}
 }
@@ -254,8 +341,11 @@ func (c *Cache) ForEach(fn func(*Line)) {
 // (internal/modelcheck).
 func (c *Cache) Recency() []Line {
 	out := make([]Line, 0, c.assoc)
-	for s := uint64(0); s < c.numSets; s++ {
-		set := c.sets[s*uint64(c.assoc) : (s+1)*uint64(c.assoc)]
+	for _, ref := range c.index {
+		if ref == 0 {
+			continue
+		}
+		set := c.set(ref)
 		start := len(out)
 		for i := range set {
 			if set[i].State != Invalid {
@@ -263,9 +353,9 @@ func (c *Cache) Recency() []Line {
 			}
 		}
 		lines := out[start:]
-		sort.Slice(lines, func(i, j int) bool { return lines[i].lru > lines[j].lru })
+		sort.Slice(lines, func(i, j int) bool { return lines[i].lru() > lines[j].lru() })
 		for i := range lines {
-			lines[i].lru = 0
+			lines[i].setLRU(0)
 		}
 	}
 	return out
@@ -274,19 +364,18 @@ func (c *Cache) Recency() []Line {
 // ValidLines reports the number of valid lines, for occupancy assertions.
 func (c *Cache) ValidLines() int {
 	n := 0
-	for i := range c.sets {
-		if c.sets[i].State != Invalid {
-			n++
-		}
-	}
+	c.ForEach(func(*Line) { n++ })
 	return n
 }
 
-// Reset invalidates every line and clears counters.
+// Reset invalidates every line and clears counters. Set storage already
+// allocated is kept for reuse.
 func (c *Cache) Reset() {
-	for i := range c.sets {
-		c.sets[i] = Line{}
+	clear(c.index)
+	for _, ch := range c.chunks {
+		clear(ch)
 	}
+	c.slots = 0
 	c.tick = 0
 	c.Invalidations, c.Downgrades, c.Hits, c.Misses, c.Evictions = 0, 0, 0, 0, 0
 }

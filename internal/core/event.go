@@ -119,9 +119,9 @@ func (k RMWKind) String() string {
 
 // Event is one observation from the simulated memory system. Which fields
 // are meaningful depends on Kind; unused fields are zero. Events are valid
-// only for the duration of the Sink.Event call — sinks that retain data
-// must copy what they need (Data in particular aliases machine-owned
-// scratch space).
+// only for the duration of the Sink.Event call — the record is reused for
+// the next event, so sinks that retain data must copy what they need (Data
+// in particular aliases machine-owned scratch space).
 type Event struct {
 	Seq    uint64    // global sequence number, dense from 0
 	Kind   EventKind // what happened
@@ -172,9 +172,12 @@ type Event struct {
 }
 
 // Sink receives events. Implementations must not retain ev or ev.Data past
-// the call. Sinks run synchronously on the simulation's single thread, so
-// they need no locking, but everything they do is pure observation: a sink
-// must not mutate the system.
+// the call: the emitters fill every event into a record they own (System,
+// machine.Machine and each machine.Ctx keep one) and overwrite it for the
+// next event, which keeps the emit path free of heap allocation. Sinks run
+// synchronously on the simulation's single thread, so they need no
+// locking, but everything they do is pure observation: a sink must not
+// mutate the system.
 type Sink interface {
 	Event(ev *Event)
 }
@@ -266,7 +269,8 @@ func (s *System) dirTransaction(core int, block mem.Addr, mode AccessMode) (cach
 	before := s.ctr.Snap()
 	db, ob, sb := s.dirPeek(block)
 	st, lat := s.dirTransact(core, block, mode)
-	ev := &Event{
+	ev := &s.rec
+	*ev = Event{
 		Kind:          EvTransaction,
 		Thread:        s.evThread,
 		Core:          core,

@@ -211,6 +211,7 @@ type Engine struct {
 	// PDES scheduler state (nil selects the sequential scheduler).
 	pdes       *PDESConfig
 	running    bool         // startup complete; the epoch loop is scheduling
+	aborted    bool         // the run failed; parked bodies unwind on wake (abandonPDES)
 	startc     chan any     // startup: thread parked/exited (nil) or panicked (value)
 	pdesParked []*Thread    // threads parked during startup / between epochs
 	parkc      chan pdesMsg // running threads report park/exit/panic here

@@ -150,6 +150,11 @@ func (t *Thread) callPDES(op Op) {
 // re-dispatches the op under the refreshed limit/serial/horizon state.
 func (t *Thread) parkPDES(op Op) {
 	e := t.eng
+	if e.aborted {
+		// A deferred call in a body being unwound by abandonPDES tried to
+		// run another op: keep unwinding.
+		panic(errStopped)
+	}
 	t.pending = op
 	serial := t.serial
 	t.serial = false
@@ -173,6 +178,9 @@ func (t *Thread) parkPDES(op Op) {
 		e.parkc <- pdesMsg{t: t}
 	}
 	<-t.res
+	if e.aborted {
+		panic(errStopped)
+	}
 	t.pending = nil
 }
 
@@ -205,7 +213,8 @@ func (e *Engine) wakeNextDrain() bool {
 // launch starts t's body on its own goroutine. The wrapper turns body
 // completion into a startup notification or, once the epoch loop runs, a
 // report to the coordinator, and forwards panics so they surface from Run
-// instead of deadlocking.
+// instead of deadlocking. A body unwound by abandonPDES reports errStopped
+// the same way.
 func (e *Engine) launch(t *Thread) {
 	go func() {
 		defer func() {
@@ -228,14 +237,42 @@ func (e *Engine) launch(t *Thread) {
 	}()
 }
 
+// abandonPDES unwinds the bodies of the given parked threads, one at a
+// time, so that a run aborted by ErrMaxCycles or a panic leaves no thread
+// goroutine behind. Each woken thread sees e.aborted, panics with
+// errStopped from parkPDES, and its launch wrapper reports the exit on
+// parkc; waiting for that report before waking the next thread keeps the
+// unwinding serialized, like the sequential engine's coroutine stops.
+func (e *Engine) abandonPDES(parked []*Thread) {
+	e.aborted = true
+	e.running = true // exits report on parkc, also during startup
+	for _, t := range parked {
+		t.res <- struct{}{}
+		<-e.parkc
+	}
+}
+
 // runPDES is Run under the PDES scheduler: the epoch coordinator. It runs
 // on Run's goroutine and owns all scheduling decisions; thread goroutines
 // only ever run between a wake (res) and their next park (parkc).
+//
+// On every exit path every thread body has finished: on completion they
+// all exited, and on ErrMaxCycles or a panic the deferred abandonPDES
+// unwinds the parked ones (in e.pdesParked during startup, in parked or
+// the drain heap afterwards).
 func (e *Engine) runPDES() (uint64, error) {
 	w := e.pdes.Window
 	e.procs = runtime.GOMAXPROCS(0)
 	e.startc = make(chan any)
 	e.parkc = make(chan pdesMsg, len(e.threads))
+	var parked []*Thread
+	defer func() {
+		if e.running {
+			e.abandonPDES(append(parked, e.drainHeap.a...))
+		} else {
+			e.abandonPDES(e.pdesParked)
+		}
+	}()
 
 	// Startup: identical to the sequential engine — threads launch one at
 	// a time and run to their first op (limit 0 forces an immediate park),
@@ -254,7 +291,7 @@ func (e *Engine) runPDES() (uint64, error) {
 	}
 	e.running = true
 
-	parked := e.pdesParked
+	parked = e.pdesParked
 	live := len(parked)
 	finalFlush := func() {
 		if f := e.pdes.Flush; f != nil {

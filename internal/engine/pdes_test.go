@@ -3,6 +3,7 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sort"
 	"sync"
 	"testing"
@@ -340,5 +341,75 @@ func TestPDESExactlyOneGlobalRunning(t *testing.T) {
 	}
 	if shared != 800 {
 		t.Fatalf("shared = %d, want 800 (lost updates => serial-drain bug)", shared)
+	}
+}
+
+// TestPDESMaxCyclesReleasesThreads: a PDES run aborted by the cycle guard
+// must not leave its parked threads' goroutines behind, whether they were
+// parked between epochs or mid-drain.
+func TestPDESMaxCyclesReleasesThreads(t *testing.T) {
+	before := runtime.NumGoroutine()
+	for r := 0; r < 20; r++ {
+		e := New(4, func(_ *Thread, op Op) uint64 { return uint64(op.(globalOp)) })
+		e.SetPDES(PDESConfig{Window: uint64(1 + r%3*50), Local: func(_ *Thread, op Op) uint64 { return uint64(op.(localOp)) }})
+		e.MaxCycles = 1000
+		for i := 0; i < 4; i++ {
+			e.SetBody(i, func(th *Thread) {
+				for { // simulated runaway
+					th.Call(localOp(3))
+					th.Call(globalOp(7))
+				}
+			})
+		}
+		if _, err := e.Run(); !errors.Is(err, ErrMaxCycles) {
+			t.Fatalf("run %d: err = %v, want ErrMaxCycles", r, err)
+		}
+	}
+	if after := settledGoroutines(before); after > before {
+		t.Fatalf("goroutines: %d before 20 aborted runs, %d after", before, after)
+	}
+}
+
+// TestPDESPanicReleasesThreads: a body panic — during startup, in a
+// parallel phase, or in the serial drain — must surface from Run with its
+// own value and must not leave the other threads' goroutines behind.
+func TestPDESPanicReleasesThreads(t *testing.T) {
+	before := runtime.NumGoroutine()
+	for r := 0; r < 20; r++ {
+		e := New(4, func(_ *Thread, op Op) uint64 { return uint64(op.(globalOp)) })
+		e.SetPDES(PDESConfig{Window: uint64(1 + r%2*1000), Local: func(_ *Thread, op Op) uint64 { return uint64(op.(localOp)) }})
+		e.MaxCycles = 1 << 20 // a missed panic fails the run instead of hanging
+		for i := 0; i < 4; i++ {
+			i := i
+			e.SetBody(i, func(th *Thread) {
+				for k := 0; k < 10; k++ {
+					if i == 2 && k == [3]int{0, 3, 8}[r%3] {
+						// Panic at startup, early, or after several
+						// epochs of local and global ops.
+						panic("boom")
+					}
+					if k%2 == 0 {
+						th.Call(localOp(1))
+					} else {
+						th.Call(globalOp(1))
+					}
+				}
+				for {
+					th.Call(globalOp(1))
+				}
+			})
+		}
+		func() {
+			defer func() {
+				if v := recover(); v != "boom" {
+					t.Fatalf("run %d: recovered %v, want boom", r, v)
+				}
+			}()
+			e.Run()
+			t.Fatalf("run %d: Run returned despite body panic", r)
+		}()
+	}
+	if after := settledGoroutines(before); after > before {
+		t.Fatalf("goroutines: %d before 20 panicked runs, %d after", before, after)
 	}
 }

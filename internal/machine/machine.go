@@ -48,6 +48,12 @@ type Machine struct {
 	locals    []threadLocal
 	nbuffered atomic.Int64
 	observing bool
+
+	// ev is the record each instruction-level event and the EvDrain event
+	// are filled into before emission (serialized context only; phase
+	// markers, which body code emits, use their Ctx's record instead).
+	// Sinks must not retain it, so one record serves the whole run.
+	ev core.Event
 }
 
 // New builds a machine with the given topology and protocol.
@@ -126,7 +132,8 @@ func (m *Machine) Run(bodies []func(*Ctx)) (uint64, error) {
 		m.sys.SetEventCycle(cycles)
 		before := m.ctr.Snap()
 		m.sys.DrainAll()
-		m.sys.Emit(&core.Event{Kind: core.EvDrain, Thread: -1, Core: -1, Cycle: cycles, Ctrs: m.ctr.Snap().Sub(before)})
+		m.ev = core.Event{Kind: core.EvDrain, Thread: -1, Core: -1, Cycle: cycles, Ctrs: m.ctr.Snap().Sub(before)}
+		m.sys.Emit(&m.ev)
 	} else {
 		m.sys.DrainAll()
 	}
@@ -198,13 +205,16 @@ func (m *Machine) exec(t *engine.Thread, op engine.Op) uint64 {
 
 // execObserved wraps execOp with instruction-level event emission: it
 // attributes the op to its hardware thread, snapshots the counters around
-// it, and emits the matching event carrying operands and deltas.
+// it, and emits the matching event carrying operands and deltas. The event
+// is filled into m.ev only after execOp returns, so the protocol-internal
+// events execOp emits (into the System's own record) cannot clobber it.
 func (m *Machine) execObserved(t *engine.Thread, op engine.Op) uint64 {
 	m.sys.SetEventThread(t.ID())
 	m.sys.SetEventCycle(t.Now())
 	before := m.ctr.Snap()
 	adv := m.execOp(t, op)
-	ev := core.Event{
+	ev := &m.ev
+	*ev = core.Event{
 		Thread:  t.ID(),
 		Core:    m.cfg.CoreOf(t.ID()),
 		Cycle:   t.Now(),
@@ -259,7 +269,7 @@ func (m *Machine) execObserved(t *engine.Thread, op engine.Op) uint64 {
 		ev.Kind = core.EvRegionRemove
 		ev.Region = o.id
 	}
-	m.sys.Emit(&ev)
+	m.sys.Emit(ev)
 	m.sys.SetEventThread(-1)
 	return adv
 }
@@ -441,8 +451,11 @@ type Ctx struct {
 	fnc  fenceOp
 	sfnc syncFenceOp
 	rmw  rmwOp
+	add  addRegionOp
+	rem  removeRegionOp
 	host hostOp
-	buf  [8]byte // backing store for scalar Load/Store data
+	buf  [8]byte    // backing store for scalar Load/Store data
+	ev   core.Event // record for this thread's phase markers (see emitMarker)
 }
 
 // ThreadID returns the hardware thread id.
@@ -563,10 +576,11 @@ func (c *Ctx) PhaseBegin(name string) {
 	if !c.m.observing {
 		return
 	}
-	c.m.emitMarker(c.t, &core.Event{
+	c.ev = core.Event{
 		Kind: core.EvPhaseBegin, Thread: c.t.ID(), Core: c.core,
 		Cycle: c.t.Now(), Label: name,
-	})
+	}
+	c.m.emitMarker(c.t, &c.ev)
 }
 
 // PhaseEnd emits the EvPhaseEnd marker closing the innermost open phase on
@@ -576,22 +590,24 @@ func (c *Ctx) PhaseEnd(name string) {
 	if !c.m.observing {
 		return
 	}
-	c.m.emitMarker(c.t, &core.Event{
+	c.ev = core.Event{
 		Kind: core.EvPhaseEnd, Thread: c.t.ID(), Core: c.core,
 		Cycle: c.t.Now(), Label: name,
-	})
+	}
+	c.m.emitMarker(c.t, &c.ev)
 }
 
 // AddRegion executes WARDen's Add Region instruction for [lo, hi). Under
 // MESI or when the region table is full it returns (core.NullRegion, false).
 func (c *Ctx) AddRegion(lo, hi mem.Addr) (core.RegionID, bool) {
-	op := addRegionOp{lo: lo, hi: hi}
-	c.t.Call(&op)
-	return op.id, op.ok
+	c.add = addRegionOp{lo: lo, hi: hi}
+	c.t.Call(&c.add)
+	return c.add.id, c.add.ok
 }
 
 // RemoveRegion executes WARDen's Remove Region instruction, reconciling the
 // region's W blocks. Removing core.NullRegion is a cheap no-op.
 func (c *Ctx) RemoveRegion(id core.RegionID) {
-	c.t.Call(&removeRegionOp{id: id})
+	c.rem.id = id
+	c.t.Call(&c.rem)
 }

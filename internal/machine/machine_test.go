@@ -262,3 +262,60 @@ func TestMaxCyclesGuard(t *testing.T) {
 		t.Fatal("runaway program did not trip the cycle guard")
 	}
 }
+
+// noopSink observes every event and keeps nothing.
+type noopSink struct{}
+
+func (noopSink) Event(*core.Event) {}
+
+// TestObservedRunAllocatesNothingPerEvent: with a sink attached every op
+// emits an instruction-level event, and the shared-block traffic, the
+// evictions and the W-region reconciliations below emit protocol-internal
+// ones too. None of them may allocate: a run's allocations must not grow
+// with its op count, and with region ops in the mix (the region table
+// itself allocates) attaching the sink must add no allocation.
+func TestObservedRunAllocatesNothingPerEvent(t *testing.T) {
+	if raceEnabled {
+		t.Skip("AllocsPerRun counts are not meaningful under the race detector")
+	}
+	cfg := testCfg()
+	// Nine blocks that share one L2 set, so each pass over them evicts.
+	stride := mem.Addr(cfg.L2Size / uint64(cfg.L2Assoc))
+	allocs := func(ops int, observed, regions bool) float64 {
+		return testing.AllocsPerRun(10, func() {
+			m := New(cfg, core.WARDen)
+			if observed {
+				m.System().SetSink(noopSink{})
+			}
+			base := m.Mem().Alloc(10*uint64(stride), 64)
+			bodies := make([]func(*Ctx), cfg.Threads())
+			for i := range bodies {
+				bodies[i] = func(ctx *Ctx) {
+					ctx.PhaseBegin("loop")
+					for k := 0; k < ops; k++ {
+						a := base + mem.Addr(k%9)*stride + mem.Addr(8*ctx.ThreadID())
+						ctx.Store(a, 8, uint64(k))
+						ctx.Load(a+stride, 8)
+						ctx.Compute(3)
+						ctx.Fence()
+						if regions && k%16 == 0 {
+							id, _ := ctx.AddRegion(base, base+64)
+							ctx.Store(base, 8, uint64(k))
+							ctx.RemoveRegion(id)
+						}
+					}
+					ctx.PhaseEnd("loop")
+				}
+			}
+			if _, err := m.Run(bodies); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if a, b := allocs(200, true, false), allocs(400, true, false); a != b {
+		t.Fatalf("allocations per observed run: %v at 200 ops/thread, %v at 400", a, b)
+	}
+	if a, b := allocs(200, false, true), allocs(200, true, true); a != b {
+		t.Fatalf("allocations per run with region ops: %v without a sink, %v with one", a, b)
+	}
+}
