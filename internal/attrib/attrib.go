@@ -94,10 +94,17 @@ type Account struct {
 	Events uint64 // instruction count
 }
 
-// threadTotal reconstructs one thread's clock two independent ways.
-type threadTotal struct {
+// threadState is one hardware thread's running state: its open-phase
+// stack (LIFO), its clock reconstructed two independent ways, and per
+// instruction kind the account it was charged last, which the next event
+// of that kind reuses without a map lookup while bucket and phase repeat
+// (a thread alternating loads and compute keeps both accounts cached).
+type threadState struct {
+	stack []string
+	seen  bool   // the thread retired an instruction-level event
 	sum   uint64 // sum of Advance over the thread's events
 	clock uint64 // max over events of Cycle+Advance (the post-op clock)
+	last  [core.EvDrain + 1]*Account
 }
 
 // Sample is one point of the cumulative attributed-cycles series, for
@@ -113,8 +120,8 @@ type Sample struct {
 type Ledger struct {
 	cfg      Config
 	accounts map[Key]*Account
-	threads  map[int]*threadTotal
-	stacks   map[int][]string // per-thread open-phase stack (LIFO)
+	threads  []threadState // indexed by thread id, grown on first sight
+	system   threadState   // threadless events (Thread -1)
 	flight   *Flight
 
 	// Unbalanced counts EvPhaseEnd markers that did not match the top of
@@ -122,7 +129,7 @@ type Ledger struct {
 	Unbalanced uint64
 
 	events   uint64
-	perKind  map[core.EventKind]uint64 // cumulative cycles per kind
+	perKind  map[core.EventKind]uint64 // cumulative cycles per kind (only kept while sampling)
 	samples  []Sample
 	reconOK  bool
 	reconFor uint64
@@ -135,8 +142,6 @@ func New(cfg Config) *Ledger {
 	return &Ledger{
 		cfg:      cfg,
 		accounts: make(map[Key]*Account),
-		threads:  make(map[int]*threadTotal),
-		stacks:   make(map[int][]string),
 		perKind:  make(map[core.EventKind]uint64),
 		flight:   newFlight(cfg),
 	}
@@ -151,17 +156,30 @@ func (l *Ledger) Config() Config { return l.cfg }
 // Events returns how many events of any kind the ledger observed.
 func (l *Ledger) Events() uint64 { return l.events }
 
+// thread returns the running state of thread id (the system state for a
+// threadless event).
+func (l *Ledger) thread(id int) *threadState {
+	if id < 0 {
+		return &l.system
+	}
+	if id >= len(l.threads) {
+		l.threads = append(l.threads, make([]threadState, id+1-len(l.threads))...)
+	}
+	return &l.threads[id]
+}
+
 // Event implements core.Sink.
 func (l *Ledger) Event(ev *core.Event) {
 	l.events++
 	switch ev.Kind {
 	case core.EvPhaseBegin:
-		l.stacks[ev.Thread] = append(l.stacks[ev.Thread], ev.Label)
+		ts := l.thread(ev.Thread)
+		ts.stack = append(ts.stack, ev.Label)
 		return
 	case core.EvPhaseEnd:
-		st := l.stacks[ev.Thread]
-		if n := len(st); n > 0 && st[n-1] == ev.Label {
-			l.stacks[ev.Thread] = st[:n-1]
+		ts := l.thread(ev.Thread)
+		if n := len(ts.stack); n > 0 && ts.stack[n-1] == ev.Label {
+			ts.stack = ts.stack[:n-1]
 		} else {
 			l.Unbalanced++
 		}
@@ -171,28 +189,37 @@ func (l *Ledger) Event(ev *core.Event) {
 		return
 	}
 	// Instruction-level event: charge its Advance to the account.
+	ts := l.thread(ev.Thread)
 	if ev.Thread >= 0 {
-		tt := l.threads[ev.Thread]
-		if tt == nil {
-			tt = &threadTotal{}
-			l.threads[ev.Thread] = tt
-		}
-		tt.sum += ev.Advance
-		if end := ev.Cycle + ev.Advance; end > tt.clock {
-			tt.clock = end
+		ts.seen = true
+		ts.sum += ev.Advance
+		if end := ev.Cycle + ev.Advance; end > ts.clock {
+			ts.clock = end
 		}
 	}
-	k := Key{Thread: ev.Thread, Kind: ev.Kind, Bucket: l.bucketOf(ev), Phase: l.phaseOf(ev)}
-	acct := l.accounts[k]
-	if acct == nil {
-		acct = &Account{Key: k, Core: ev.Core}
-		l.accounts[k] = acct
+	k := Key{Thread: ev.Thread, Kind: ev.Kind, Bucket: l.bucketOf(ev), Phase: phaseOf(ts, ev)}
+	var acct *Account
+	cached := uint(ev.Kind) < uint(len(ts.last))
+	if cached {
+		acct = ts.last[ev.Kind]
+	}
+	if acct == nil || acct.Key != k {
+		acct = l.accounts[k]
+		if acct == nil {
+			acct = &Account{Key: k, Core: ev.Core}
+			l.accounts[k] = acct
+		}
+		if cached {
+			ts.last[ev.Kind] = acct
+		}
 	}
 	acct.Cycles += ev.Advance
 	acct.Events++
-	l.perKind[ev.Kind] += ev.Advance
-	if l.cfg.SampleEvery > 0 && l.events%l.cfg.SampleEvery == 0 {
-		l.sample(ev.Cycle + ev.Advance)
+	if l.cfg.SampleEvery > 0 {
+		l.perKind[ev.Kind] += ev.Advance
+		if l.events%l.cfg.SampleEvery == 0 {
+			l.sample(ev.Cycle + ev.Advance)
+		}
 	}
 }
 
@@ -219,13 +246,13 @@ func (l *Ledger) bucketOf(ev *core.Event) uint64 {
 }
 
 // phaseOf charges an instruction event to the innermost phase open on its
-// thread, like telemetry's PhaseAccount.
-func (l *Ledger) phaseOf(ev *core.Event) string {
+// thread (whose state is ts), like telemetry's PhaseAccount.
+func phaseOf(ts *threadState, ev *core.Event) string {
 	if ev.Thread < 0 {
 		return SystemPhase
 	}
-	if st := l.stacks[ev.Thread]; len(st) > 0 {
-		return st[len(st)-1]
+	if n := len(ts.stack); n > 0 {
+		return ts.stack[n-1]
 	}
 	return OutsidePhase
 }
@@ -256,8 +283,8 @@ func (l *Ledger) Rows() []*Account {
 // ThreadCycles returns thread t's reconstructed final clock (0 if the
 // thread emitted no events).
 func (l *Ledger) ThreadCycles(t int) uint64 {
-	if tt := l.threads[t]; tt != nil {
-		return tt.clock
+	if t >= 0 && t < len(l.threads) {
+		return l.threads[t].clock
 	}
 	return 0
 }
@@ -267,8 +294,8 @@ func (l *Ledger) ThreadCycles(t int) uint64 {
 // ok is false when the ledger saw no threaded instruction events.
 func (l *Ledger) CriticalThread() (thread int, cycles uint64, ok bool) {
 	thread = -1
-	for id, tt := range l.threads {
-		if !ok || tt.clock > cycles || (tt.clock == cycles && id < thread) {
+	for id := range l.threads {
+		if tt := &l.threads[id]; tt.seen && (!ok || tt.clock > cycles) {
 			thread, cycles, ok = id, tt.clock, true
 		}
 	}
@@ -280,25 +307,20 @@ func (l *Ledger) CriticalThread() (thread int, cycles uint64, ok bool) {
 // and the maximum clock must equal total. Any difference is returned as an
 // error naming the residue — attribution that does not reconcile exactly
 // is always a bug — and kept for Residue. A per-thread residue wins over a
-// run residue and is taken from the smallest such thread id, so the
-// reported residue does not depend on map iteration order.
+// run residue and is taken from the smallest such thread id.
 func (l *Ledger) Reconcile(total uint64) error {
 	l.reconOK, l.residue = false, 0
 	var maxClock uint64
-	bad := -1
-	for id, tt := range l.threads {
-		if tt.sum != tt.clock && (bad < 0 || id < bad) {
-			bad = id
+	for id := range l.threads {
+		tt := &l.threads[id]
+		if tt.sum != tt.clock {
+			l.residue = int64(tt.sum) - int64(tt.clock)
+			return fmt.Errorf("attrib: thread %d residue: sum of advances %d != final clock %d (residue %d)",
+				id, tt.sum, tt.clock, l.residue)
 		}
 		if tt.clock > maxClock {
 			maxClock = tt.clock
 		}
-	}
-	if bad >= 0 {
-		tt := l.threads[bad]
-		l.residue = int64(tt.sum) - int64(tt.clock)
-		return fmt.Errorf("attrib: thread %d residue: sum of advances %d != final clock %d (residue %d)",
-			bad, tt.sum, tt.clock, l.residue)
 	}
 	if maxClock != total {
 		l.residue = int64(maxClock) - int64(total)

@@ -172,9 +172,11 @@ type Event struct {
 }
 
 // Sink receives events. Implementations must not retain ev or ev.Data past
-// the call: the emitters fill every event into a record they own (System,
-// machine.Machine and each machine.Ctx keep one) and overwrite it for the
-// next event, which keeps the emit path free of heap allocation. Sinks run
+// the call, nor modify the event: the emitters fill every event into a
+// record they own (System, machine.Machine and each machine.Ctx keep one)
+// and overwrite it for the next event, which keeps the emit path free of
+// heap allocation, and a record may rewrite only the fields its kinds set
+// (machine's PDES flush record does). Sinks run
 // synchronously on the simulation's single thread, so they need no
 // locking, but everything they do is pure observation: a sink must not
 // mutate the system.
@@ -266,7 +268,8 @@ func (s *System) dirTransaction(core int, block mem.Addr, mode AccessMode) (cach
 	if s.sink == nil {
 		return s.dirTransact(core, block, mode)
 	}
-	before := s.ctr.Snap()
+	var before stats.Snapshot
+	s.ctr.SnapTo(&before)
 	db, ob, sb := s.dirPeek(block)
 	st, lat := s.dirTransact(core, block, mode)
 	ev := &s.rec
@@ -282,8 +285,8 @@ func (s *System) dirTransaction(core int, block mem.Addr, mode AccessMode) (cach
 		OwnerBefore:   ob,
 		SharersBefore: sb,
 		Latency:       lat,
-		Ctrs:          s.ctr.Snap().Sub(before),
 	}
+	ev.Ctrs.Delta(s.ctr, &before)
 	ev.DirAfter, ev.OwnerAfter, ev.SharersAfter = s.dirPeek(block)
 	if ev.DirAfter == cache.Ward {
 		if e := s.dir.Lookup(block); e != nil {

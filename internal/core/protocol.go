@@ -301,7 +301,7 @@ func (s *System) evictL2Victim(core int, ev cache.Eviction) {
 	var ob int
 	var sb coherence.Bitset
 	if s.sink != nil {
-		before = s.ctr.Snap()
+		s.ctr.SnapTo(&before)
 		db, ob, sb = s.dirPeek(ev.Addr)
 	}
 
@@ -327,8 +327,8 @@ func (s *System) evictL2Victim(core int, ev cache.Eviction) {
 			DirBefore:     db,
 			OwnerBefore:   ob,
 			SharersBefore: sb,
-			Ctrs:          s.ctr.Snap().Sub(before),
 		}
+		evn.Ctrs.Delta(s.ctr, &before)
 		evn.DirAfter, evn.OwnerAfter, evn.SharersAfter = s.dirPeek(ev.Addr)
 		s.emit(evn)
 	}
@@ -431,7 +431,7 @@ func (s *System) applyMask(block mem.Addr, wc *wardCopy) {
 func (s *System) reconcileBlock(block mem.Addr, e *coherence.Entry, forgetRegion bool) {
 	var before stats.Snapshot
 	if s.sink != nil {
-		before = s.ctr.Snap()
+		s.ctr.SnapTo(&before)
 	}
 	holders := e.Sharers
 	region := RegionID(e.Region)
@@ -519,8 +519,8 @@ func (s *System) reconcileBlock(block mem.Addr, e *coherence.Entry, forgetRegion
 			Arg2:          uint64(totalMask),
 			DirBefore:     cache.Ward,
 			SharersBefore: holders,
-			Ctrs:          s.ctr.Snap().Sub(before),
 		}
+		ev.Ctrs.Delta(s.ctr, &before)
 		ev.DirAfter, ev.OwnerAfter, ev.SharersAfter = s.dirPeek(block)
 		s.emit(ev)
 	}

@@ -53,7 +53,7 @@ func (a *Accumulator) Event(ev *core.Event) {
 		instrs = 1
 	}
 	coreE := float64(instrs) * a.model.PerInstruction
-	cachesE := a.dynCaches(ev.Ctrs)
+	cachesE := a.dynCaches(&ev.Ctrs)
 	icE := float64(ev.Ctrs.NoCFlitHops)*a.model.NoCFlitHop +
 		float64(ev.Ctrs.IntersocketFlits)*a.model.IntersocketFlit
 	dramE := float64(ev.Ctrs.DRAMAccesses) * a.model.DRAMAccess
@@ -65,7 +65,7 @@ func (a *Accumulator) Event(ev *core.Event) {
 	a.ByKind[ev.Kind] += coreE + cachesE + icE + dramE
 }
 
-func (a *Accumulator) dynCaches(s stats.Snapshot) float64 {
+func (a *Accumulator) dynCaches(s *stats.Snapshot) float64 {
 	return float64(s.L1Accesses)*a.model.L1Access +
 		float64(s.L2Accesses)*a.model.L2Access +
 		float64(s.L3Accesses)*a.model.L3Access +

@@ -131,6 +131,12 @@ func (t *Thread) ID() int { return t.id }
 // Now returns the thread's local clock in cycles.
 func (t *Thread) Now() uint64 { return t.now }
 
+// Serial reports whether t holds the PDES serial-drain lease: no other
+// thread runs until it parks, so a PDES Local handler called while Serial
+// is true may touch shared state. Always false under the sequential
+// scheduler, whose Local handler is never called.
+func (t *Thread) Serial() bool { return t.serial }
+
 // Call posts op and returns once it has executed (advancing the thread's
 // clock by the handler's result). It must only be called from the thread's
 // own body. While the thread holds the inline lease — its clock strictly

@@ -78,24 +78,30 @@ var machineSink *Machine
 
 // BenchmarkEmitNoopSink is BenchmarkL1HitPath with a no-op sink attached:
 // the difference is the host cost of building and emitting one
-// instruction-level event.
+// instruction-level event. Under PDES each load is a global op, so it also
+// pays the flush check ahead of it.
 func BenchmarkEmitNoopSink(b *testing.B) {
-	m := New(benchConfig(), core.WARDen)
-	m.System().SetSink(noopSink{})
-	addr := m.Mem().Alloc(64, 64)
-	bodies := make([]func(*Ctx), m.Config().Threads())
-	bodies[0] = func(ctx *Ctx) {
-		ctx.Store(addr, 8, 1)
-		for i := 0; i < b.N; i++ {
-			ctx.Load(addr, 8)
-		}
-	}
-	for i := 1; i < len(bodies); i++ {
-		bodies[i] = func(*Ctx) {}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	if _, err := m.Run(bodies); err != nil {
-		b.Fatal(err)
+	for _, mode := range []EngineMode{EngineSequential, EnginePDES} {
+		b.Run("engine="+mode.String(), func(b *testing.B) {
+			m := New(benchConfig(), core.WARDen)
+			m.SetEngineMode(mode)
+			m.System().SetSink(noopSink{})
+			addr := m.Mem().Alloc(64, 64)
+			bodies := make([]func(*Ctx), m.Config().Threads())
+			bodies[0] = func(ctx *Ctx) {
+				ctx.Store(addr, 8, 1)
+				for i := 0; i < b.N; i++ {
+					ctx.Load(addr, 8)
+				}
+			}
+			for i := 1; i < len(bodies); i++ {
+				bodies[i] = func(*Ctx) {}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			if _, err := m.Run(bodies); err != nil {
+				b.Fatal(err)
+			}
+		})
 	}
 }

@@ -43,17 +43,28 @@ type Machine struct {
 
 	// PDES state (see pdes.go). locals is non-nil iff emode is EnginePDES;
 	// observing caches Sink() != nil for the concurrent local handler,
-	// which must not read the (mutable) sink field itself.
+	// which must not read the (mutable) sink field itself. heads[tid] is
+	// the key of the first event in locals[tid]'s buffer (noHead if it is
+	// empty), written by its owner only when it refills an empty buffer;
+	// minTid caches the thread whose head is the merge minimum (-1: all
+	// empty) and is touched only in serialized context; fresh reports a
+	// concurrent refill since the last flush, which invalidates minTid.
 	emode     EngineMode
 	locals    []threadLocal
-	nbuffered atomic.Int64
+	heads     []uint64
+	minTid    int
+	fresh     atomic.Bool
 	observing bool
 
 	// ev is the record each instruction-level event and the EvDrain event
-	// are filled into before emission (serialized context only; phase
-	// markers, which body code emits, use their Ctx's record instead).
-	// Sinks must not retain it, so one record serves the whole run.
-	ev core.Event
+	// are filled into before emission, lev the record flushLocal rebuilds
+	// buffered PDES events in (serialized context only; phase markers
+	// emitted directly by body code use their Ctx's record instead). Sinks
+	// must neither retain nor modify them, so one record of each serves
+	// the whole run, and lev's fields no local kind sets stay zero. before
+	// holds the counters an observed op started from.
+	ev, lev core.Event
+	before  stats.Snapshot
 }
 
 // New builds a machine with the given topology and protocol.
@@ -130,9 +141,10 @@ func (m *Machine) Run(bodies []func(*Ctx)) (uint64, error) {
 		// reconciliations, writebacks, and traffic to one EvDrain event.
 		m.sys.SetEventThread(-1)
 		m.sys.SetEventCycle(cycles)
-		before := m.ctr.Snap()
+		m.ctr.SnapTo(&m.before)
 		m.sys.DrainAll()
-		m.ev = core.Event{Kind: core.EvDrain, Thread: -1, Core: -1, Cycle: cycles, Ctrs: m.ctr.Snap().Sub(before)}
+		m.ev = core.Event{Kind: core.EvDrain, Thread: -1, Core: -1, Cycle: cycles}
+		m.ev.Ctrs.Delta(m.ctr, &m.before)
 		m.sys.Emit(&m.ev)
 	} else {
 		m.sys.DrainAll()
@@ -211,17 +223,15 @@ func (m *Machine) exec(t *engine.Thread, op engine.Op) uint64 {
 func (m *Machine) execObserved(t *engine.Thread, op engine.Op) uint64 {
 	m.sys.SetEventThread(t.ID())
 	m.sys.SetEventCycle(t.Now())
-	before := m.ctr.Snap()
+	m.ctr.SnapTo(&m.before)
 	adv := m.execOp(t, op)
+	// Reset the record in place and fill it field by field: a composite
+	// literal here would be built in a temporary and copied over.
 	ev := &m.ev
-	*ev = core.Event{
-		Thread:  t.ID(),
-		Core:    m.cfg.CoreOf(t.ID()),
-		Cycle:   t.Now(),
-		Latency: adv,
-		Advance: adv,
-		Ctrs:    m.ctr.Snap().Sub(before),
-	}
+	*ev = core.Event{}
+	ev.Thread, ev.Core, ev.Cycle = t.ID(), m.cfg.CoreOf(t.ID()), t.Now()
+	ev.Latency, ev.Advance = adv, adv
+	ev.Ctrs.Delta(m.ctr, &m.before)
 	switch o := op.(type) {
 	case *loadOp:
 		ev.Kind = core.EvLoad
@@ -576,11 +586,7 @@ func (c *Ctx) PhaseBegin(name string) {
 	if !c.m.observing {
 		return
 	}
-	c.ev = core.Event{
-		Kind: core.EvPhaseBegin, Thread: c.t.ID(), Core: c.core,
-		Cycle: c.t.Now(), Label: name,
-	}
-	c.m.emitMarker(c.t, &c.ev)
+	c.emitMarker(core.EvPhaseBegin, name)
 }
 
 // PhaseEnd emits the EvPhaseEnd marker closing the innermost open phase on
@@ -590,11 +596,7 @@ func (c *Ctx) PhaseEnd(name string) {
 	if !c.m.observing {
 		return
 	}
-	c.ev = core.Event{
-		Kind: core.EvPhaseEnd, Thread: c.t.ID(), Core: c.core,
-		Cycle: c.t.Now(), Label: name,
-	}
-	c.m.emitMarker(c.t, &c.ev)
+	c.emitMarker(core.EvPhaseEnd, name)
 }
 
 // AddRegion executes WARDen's Add Region instruction for [lo, hi). Under

@@ -278,39 +278,8 @@ func TestObservedRunAllocatesNothingPerEvent(t *testing.T) {
 	if raceEnabled {
 		t.Skip("AllocsPerRun counts are not meaningful under the race detector")
 	}
-	cfg := testCfg()
-	// Nine blocks that share one L2 set, so each pass over them evicts.
-	stride := mem.Addr(cfg.L2Size / uint64(cfg.L2Assoc))
 	allocs := func(ops int, observed, regions bool) float64 {
-		return testing.AllocsPerRun(10, func() {
-			m := New(cfg, core.WARDen)
-			if observed {
-				m.System().SetSink(noopSink{})
-			}
-			base := m.Mem().Alloc(10*uint64(stride), 64)
-			bodies := make([]func(*Ctx), cfg.Threads())
-			for i := range bodies {
-				bodies[i] = func(ctx *Ctx) {
-					ctx.PhaseBegin("loop")
-					for k := 0; k < ops; k++ {
-						a := base + mem.Addr(k%9)*stride + mem.Addr(8*ctx.ThreadID())
-						ctx.Store(a, 8, uint64(k))
-						ctx.Load(a+stride, 8)
-						ctx.Compute(3)
-						ctx.Fence()
-						if regions && k%16 == 0 {
-							id, _ := ctx.AddRegion(base, base+64)
-							ctx.Store(base, 8, uint64(k))
-							ctx.RemoveRegion(id)
-						}
-					}
-					ctx.PhaseEnd("loop")
-				}
-			}
-			if _, err := m.Run(bodies); err != nil {
-				t.Fatal(err)
-			}
-		})
+		return observedRunAllocs(t, EngineSequential, ops, observed, regions)
 	}
 	if a, b := allocs(200, true, false), allocs(400, true, false); a != b {
 		t.Fatalf("allocations per observed run: %v at 200 ops/thread, %v at 400", a, b)
@@ -318,4 +287,55 @@ func TestObservedRunAllocatesNothingPerEvent(t *testing.T) {
 	if a, b := allocs(200, false, true), allocs(200, true, true); a != b {
 		t.Fatalf("allocations per run with region ops: %v without a sink, %v with one", a, b)
 	}
+}
+
+// TestObservedPDESRunAllocatesNothingPerEvent is the PDES twin: buffering
+// local events, flushing them, and the epoch machinery must not allocate
+// per event either.
+func TestObservedPDESRunAllocatesNothingPerEvent(t *testing.T) {
+	if raceEnabled {
+		t.Skip("AllocsPerRun counts are not meaningful under the race detector")
+	}
+	if a, b := observedRunAllocs(t, EnginePDES, 200, true, false), observedRunAllocs(t, EnginePDES, 400, true, false); a != b {
+		t.Fatalf("allocations per observed PDES run: %v at 200 ops/thread, %v at 400", a, b)
+	}
+}
+
+// observedRunAllocs runs loads, stores, compute, fences and phase markers
+// (and, with regions, W-region ops) on every thread under mode, and
+// returns the allocations per run.
+func observedRunAllocs(t *testing.T, mode EngineMode, ops int, observed, regions bool) float64 {
+	cfg := testCfg()
+	// Nine blocks that share one L2 set, so each pass over them evicts.
+	stride := mem.Addr(cfg.L2Size / uint64(cfg.L2Assoc))
+	return testing.AllocsPerRun(10, func() {
+		m := New(cfg, core.WARDen)
+		m.SetEngineMode(mode)
+		if observed {
+			m.System().SetSink(noopSink{})
+		}
+		base := m.Mem().Alloc(10*uint64(stride), 64)
+		bodies := make([]func(*Ctx), cfg.Threads())
+		for i := range bodies {
+			bodies[i] = func(ctx *Ctx) {
+				ctx.PhaseBegin("loop")
+				for k := 0; k < ops; k++ {
+					a := base + mem.Addr(k%9)*stride + mem.Addr(8*ctx.ThreadID())
+					ctx.Store(a, 8, uint64(k))
+					ctx.Load(a+stride, 8)
+					ctx.Compute(3)
+					ctx.Fence()
+					if regions && k%16 == 0 {
+						id, _ := ctx.AddRegion(base, base+64)
+						ctx.Store(base, 8, uint64(k))
+						ctx.RemoveRegion(id)
+					}
+				}
+				ctx.PhaseEnd("loop")
+			}
+		}
+		if _, err := m.Run(bodies); err != nil {
+			t.Fatal(err)
+		}
+	})
 }

@@ -57,13 +57,17 @@ func ParseEngineMode(s string) (EngineMode, error) {
 	return EngineSequential, fmt.Errorf("machine: unknown engine mode %q (want seq or pdes)", s)
 }
 
-// localEvent is one buffered thread-local event awaiting publication.
-// sortCycle is its position key in the serialized stream: the issuing
-// thread's clock at emission (phase markers inherit the key of the event
-// they follow; see emitMarker).
+// localEvent is one buffered thread-local event awaiting publication, in
+// compact form: it holds only the fields a compute, fence or phase-marker
+// event sets, and flushLocal rebuilds the core.Event from it (the thread
+// is the buffer's index; Latency equals Advance for every local kind).
+// key is its position in the serialized stream: the issuing thread's clock
+// at emission (phase markers inherit the key of the event they follow;
+// see emitMarker), so the keys in one buffer never decrease.
 type localEvent struct {
-	sortCycle uint64
-	ev        core.Event
+	key, cycle, arg1, adv uint64
+	label                 string
+	kind                  core.EventKind
 }
 
 // threadLocal is the per-thread speculative state PDES local execution
@@ -82,8 +86,11 @@ type localCounters struct {
 	instructions  uint64
 	computeCycles uint64
 	fenceDrains   uint64
-	storeCycles   uint64 // unused today; fences charge drains, stores are global
 }
+
+// noHead is the heads entry of an empty buffer. No key equals it: a local
+// op runs only while its thread's clock is below the epoch horizon.
+const noHead = ^uint64(0)
 
 // pdesWindowScale multiplies the topology's minimum cross-thread
 // visibility latency to form the epoch window. Any width gives identical
@@ -103,6 +110,11 @@ func (m *Machine) SetEngineMode(mode EngineMode) {
 		return
 	}
 	m.locals = make([]threadLocal, m.cfg.Threads())
+	m.heads = make([]uint64, m.cfg.Threads())
+	for i := range m.heads {
+		m.heads[i] = noHead
+	}
+	m.minTid = -1
 	m.eng.SetPDES(engine.PDESConfig{
 		Window: pdesWindowScale * m.cfg.MinVisibilityLatency(),
 		Local:  m.execLocal,
@@ -129,89 +141,125 @@ type hostOp struct{ fn func() }
 // m.ctr, m.sys, or any shared structure.
 func (m *Machine) execLocal(t *engine.Thread, op engine.Op) uint64 {
 	tl := &m.locals[t.ID()]
-	var adv uint64
-	var ev core.Event
+	var adv, arg1 uint64
+	var kind core.EventKind
 	switch o := op.(type) {
 	case *computeOp:
 		tl.ctr.instructions += o.cycles
 		adv = (o.cycles + superscalarWidth - 1) / superscalarWidth
 		tl.ctr.computeCycles += adv
-		ev.Kind = core.EvCompute
-		ev.Arg1 = o.cycles
+		kind, arg1 = core.EvCompute, o.cycles
 	case *fenceOp:
 		tl.ctr.instructions++
 		tl.ctr.fenceDrains++
 		adv = 1 + m.sbufs[t.ID()].drain(t.Now())
-		ev.Kind = core.EvFence
+		kind = core.EvFence
 	default:
 		panic(fmt.Sprintf("machine: op %T marked local but not handled", op))
 	}
 	if m.observing {
-		ev.Thread = t.ID()
-		ev.Core = m.cfg.CoreOf(t.ID())
-		ev.Cycle = t.Now()
-		ev.Latency = adv
-		ev.Advance = adv
-		tl.events = append(tl.events, localEvent{sortCycle: t.Now(), ev: ev})
-		m.nbuffered.Add(1)
+		now := t.Now()
+		if len(tl.events) == 0 {
+			m.refill(t, now)
+		}
+		tl.events = append(tl.events, localEvent{key: now, cycle: now, arg1: arg1, adv: adv, kind: kind})
 	}
 	return adv
 }
 
-// flushLocal publishes buffered local events whose serialized position
-// (sortCycle, thread) is at or before (maxCycle, maxID), in exactly the
-// order the sequential engine would have emitted them: ascending
-// (sortCycle, thread), via a k-way merge over the per-thread FIFO buffers.
-// It runs only in serialized context (the PDES drain or coordinator).
-func (m *Machine) flushLocal(maxCycle uint64, maxID int) {
-	if m.nbuffered.Load() == 0 {
+// refill notes that t's empty buffer is about to receive an event with the
+// given key. Only such an append can change a buffer's head, and with it
+// the merge minimum, so nothing is updated per event. A thread holding the
+// serial-drain lease updates minTid itself; a phase-1 thread, running
+// concurrently with others, raises fresh for the next flush to rescan
+// instead. The load before the store keeps phase-1 threads from bouncing
+// the flag's cache line once it is set.
+func (m *Machine) refill(t *engine.Thread, key uint64) {
+	id := t.ID()
+	m.heads[id] = key
+	if !t.Serial() {
+		if !m.fresh.Load() {
+			m.fresh.Store(true)
+		}
 		return
 	}
-	for {
-		best := -1
-		var bestKey uint64
-		for tid := range m.locals {
-			tl := &m.locals[tid]
-			if tl.head >= len(tl.events) {
-				continue
-			}
-			k := tl.events[tl.head].sortCycle
-			if k > maxCycle || (k == maxCycle && tid > maxID) {
-				continue
-			}
-			if best < 0 || k < bestKey {
-				best, bestKey = tid, k
-			}
-		}
-		if best < 0 {
+	if min := m.minTid; min >= 0 && (m.heads[min] < key || m.heads[min] == key && min < id) {
+		return
+	}
+	m.minTid = id
+}
+
+// flushLocal publishes buffered local events whose serialized position
+// (key, thread) is at or before (maxCycle, maxID), in exactly the order the
+// sequential engine would have emitted them: ascending (key, thread), via a
+// k-way merge over the per-thread FIFO buffers. It runs only in serialized
+// context (the PDES drain or coordinator), so the merge minimum is cached
+// in minTid across calls: it is valid because each buffer's keys never
+// decrease and appends to a non-empty buffer leave its head alone. It is
+// recomputed only after a pop changes the popped buffer's head key or
+// after fresh reports a concurrent refill of an empty buffer (a serial
+// refill updates it directly; see refill). A flush with nothing to publish
+// therefore costs one comparison, not a scan of every thread.
+func (m *Machine) flushLocal(maxCycle uint64, maxID int) {
+	if m.fresh.Load() {
+		m.fresh.Store(false)
+		m.minTid = m.scanMin()
+	}
+	for m.minTid >= 0 {
+		tid := m.minTid
+		key := m.heads[tid]
+		if key > maxCycle || (key == maxCycle && tid > maxID) {
 			return
 		}
-		tl := &m.locals[best]
+		tl := &m.locals[tid]
 		le := &tl.events[tl.head]
-		m.sys.Emit(&le.ev)
-		*le = localEvent{}
+		ev := &m.lev
+		ev.Kind, ev.Thread, ev.Core = le.kind, tid, m.cfg.CoreOf(tid)
+		ev.Cycle, ev.Label, ev.Arg1 = le.cycle, le.label, le.arg1
+		ev.Latency, ev.Advance = le.adv, le.adv
+		m.sys.Emit(ev)
 		tl.head++
+		next := noHead
 		if tl.head == len(tl.events) {
 			tl.events = tl.events[:0]
 			tl.head = 0
+		} else {
+			next = tl.events[tl.head].key
 		}
-		m.nbuffered.Add(-1)
+		m.heads[tid] = next
+		// A next record that ties the popped key keeps tid the minimum:
+		// every other head is larger, or ties it from a larger thread id.
+		if next != key {
+			m.minTid = m.scanMin()
+		}
 	}
 }
 
-// emitMarker emits a phase marker. Sequentially (and in PDES serialized
-// contexts with an empty own buffer) it goes straight to the sink. Under
-// PDES with buffered local events on this thread, the marker must stay
-// FIFO-after them — the sequential engine emits a marker immediately after
-// the thread's preceding op, before other threads' smaller-clock ops that
-// execute later — so it inherits the sort key of the last buffered event.
-func (m *Machine) emitMarker(t *engine.Thread, ev *core.Event) {
+// scanMin returns the thread whose buffered head has the smallest
+// (key, thread), or -1 when every buffer is empty.
+func (m *Machine) scanMin() int {
+	best, bestKey := -1, noHead
+	for tid, k := range m.heads {
+		if k < bestKey {
+			best, bestKey = tid, k
+		}
+	}
+	return best
+}
+
+// emitMarker emits a phase marker of the given kind. Sequentially (and in
+// PDES serialized contexts with an empty own buffer) it goes straight to
+// the sink. Under PDES with buffered local events on this thread, the
+// marker must stay FIFO-after them — the sequential engine emits a marker
+// immediately after the thread's preceding op, before other threads'
+// smaller-clock ops that execute later — so it inherits the key of the
+// last buffered event.
+func (c *Ctx) emitMarker(kind core.EventKind, name string) {
+	m, now := c.m, c.t.Now()
 	if m.emode == EnginePDES {
-		tl := &m.locals[t.ID()]
-		if tl.head < len(tl.events) {
-			key := tl.events[len(tl.events)-1].sortCycle
-			tl.events = append(tl.events, localEvent{sortCycle: key, ev: *ev})
-			m.nbuffered.Add(1)
+		tl := &m.locals[c.t.ID()]
+		if n := len(tl.events); n > 0 {
+			tl.events = append(tl.events, localEvent{key: tl.events[n-1].key, cycle: now, label: name, kind: kind})
 			return
 		}
 		// Own buffer empty: this thread's preceding ops are all published,
@@ -219,7 +267,8 @@ func (m *Machine) emitMarker(t *engine.Thread, ev *core.Event) {
 		// after a global op whose flush cleared the buffer), so a direct
 		// emit lands in exactly the sequential position.
 	}
-	m.sys.Emit(ev)
+	c.ev = core.Event{Kind: kind, Thread: c.t.ID(), Core: c.core, Cycle: now, Label: name}
+	m.sys.Emit(&c.ev)
 }
 
 // mergeLocals folds the per-thread PDES counters into the machine's
@@ -234,7 +283,6 @@ func (m *Machine) mergeLocals() {
 		m.ctr.Instructions += c.instructions
 		m.ctr.ComputeCycles += c.computeCycles
 		m.ctr.FenceDrains += c.fenceDrains
-		m.ctr.StoreCycles += c.storeCycles
 	}
 }
 

@@ -2,10 +2,12 @@ package stats
 
 // Snapshot is the subset of Counters that event-stream consumers care about.
 // The event layer in internal/core and internal/machine snapshots the
-// counters around each instruction or coherence transaction and attaches the
-// difference to the emitted Event, so sinks see exactly which cache
+// counters around each instruction or coherence transaction (SnapTo, into
+// a "before" record the emitter owns) and writes the difference straight
+// into the emitted Event's Ctrs (Delta), so sinks see exactly which cache
 // accesses, coherence damage, and interconnect traffic each event caused
-// without the hot path maintaining any per-event state of its own.
+// without the hot path copying a Snapshot value or maintaining any
+// per-event state of its own.
 type Snapshot struct {
 	L1Accesses, L1Hits uint64
 	L2Accesses, L2Hits uint64
@@ -25,63 +27,57 @@ type Snapshot struct {
 	ReconciledSectors uint64
 }
 
-// Snap captures the current values of the snapshot-tracked counters.
-func (c *Counters) Snap() Snapshot {
-	s := Snapshot{
-		L1Accesses:        c.L1Accesses,
-		L1Hits:            c.L1Hits,
-		L2Accesses:        c.L2Accesses,
-		L2Hits:            c.L2Hits,
-		L3Accesses:        c.L3Accesses,
-		L3Hits:            c.L3Hits,
-		DirAccesses:       c.DirAccesses,
-		DRAMAccesses:      c.DRAMAccesses,
-		Invalidations:     c.Invalidations,
-		Downgrades:        c.Downgrades,
-		NoCFlitHops:       c.NoCFlitHops,
-		IntersocketFlits:  c.IntersocketFlits,
-		WardAccesses:      c.WardAccesses,
-		ReconciledBlocks:  c.ReconciledBlocks,
-		ReconciledSectors: c.ReconciledSectors,
-	}
+// SnapTo writes the current values of the snapshot-tracked counters into
+// s. The event layer takes its "before" snapshot this way, into storage
+// it owns, so no Snapshot value is built and copied per event.
+func (c *Counters) SnapTo(s *Snapshot) {
+	s.L1Accesses, s.L1Hits = c.L1Accesses, c.L1Hits
+	s.L2Accesses, s.L2Hits = c.L2Accesses, c.L2Hits
+	s.L3Accesses, s.L3Hits = c.L3Accesses, c.L3Hits
+	s.DirAccesses = c.DirAccesses
+	s.DRAMAccesses = c.DRAMAccesses
+	s.Invalidations = c.Invalidations
+	s.Downgrades = c.Downgrades
 	s.Msgs = c.Msgs
-	return s
+	s.NoCFlitHops = c.NoCFlitHops
+	s.IntersocketFlits = c.IntersocketFlits
+	s.WardAccesses = c.WardAccesses
+	s.ReconciledBlocks = c.ReconciledBlocks
+	s.ReconciledSectors = c.ReconciledSectors
 }
 
-// Sub returns the component-wise difference s - o. The counters only ever
-// increase, so with o taken before s every field is a true event count.
-func (s Snapshot) Sub(o Snapshot) Snapshot {
-	d := Snapshot{
-		L1Accesses:        s.L1Accesses - o.L1Accesses,
-		L1Hits:            s.L1Hits - o.L1Hits,
-		L2Accesses:        s.L2Accesses - o.L2Accesses,
-		L2Hits:            s.L2Hits - o.L2Hits,
-		L3Accesses:        s.L3Accesses - o.L3Accesses,
-		L3Hits:            s.L3Hits - o.L3Hits,
-		DirAccesses:       s.DirAccesses - o.DirAccesses,
-		DRAMAccesses:      s.DRAMAccesses - o.DRAMAccesses,
-		Invalidations:     s.Invalidations - o.Invalidations,
-		Downgrades:        s.Downgrades - o.Downgrades,
-		NoCFlitHops:       s.NoCFlitHops - o.NoCFlitHops,
-		IntersocketFlits:  s.IntersocketFlits - o.IntersocketFlits,
-		WardAccesses:      s.WardAccesses - o.WardAccesses,
-		ReconciledBlocks:  s.ReconciledBlocks - o.ReconciledBlocks,
-		ReconciledSectors: s.ReconciledSectors - o.ReconciledSectors,
+// Delta writes into s the component-wise difference between c's current
+// values and before, which an earlier SnapTo took from c. The counters
+// only ever increase, so every field is a true event count. s may be the
+// Ctrs field of the event being built: the delta is written in place.
+func (s *Snapshot) Delta(c *Counters, before *Snapshot) {
+	s.L1Accesses, s.L1Hits = c.L1Accesses-before.L1Accesses, c.L1Hits-before.L1Hits
+	s.L2Accesses, s.L2Hits = c.L2Accesses-before.L2Accesses, c.L2Hits-before.L2Hits
+	s.L3Accesses, s.L3Hits = c.L3Accesses-before.L3Accesses, c.L3Hits-before.L3Hits
+	s.DirAccesses = c.DirAccesses - before.DirAccesses
+	s.DRAMAccesses = c.DRAMAccesses - before.DRAMAccesses
+	s.Invalidations = c.Invalidations - before.Invalidations
+	s.Downgrades = c.Downgrades - before.Downgrades
+	for i := range s.Msgs {
+		s.Msgs[i] = c.Msgs[i] - before.Msgs[i]
 	}
-	for i := range d.Msgs {
-		d.Msgs[i] = s.Msgs[i] - o.Msgs[i]
-	}
-	return d
+	s.NoCFlitHops = c.NoCFlitHops - before.NoCFlitHops
+	s.IntersocketFlits = c.IntersocketFlits - before.IntersocketFlits
+	s.WardAccesses = c.WardAccesses - before.WardAccesses
+	s.ReconciledBlocks = c.ReconciledBlocks - before.ReconciledBlocks
+	s.ReconciledSectors = c.ReconciledSectors - before.ReconciledSectors
 }
 
-// TotalMsgs sums the snapshot's message counts across all types.
-func (s Snapshot) TotalMsgs() uint64 {
+// TotalMsgs sums the snapshot's message counts across all types. It
+// indexes s.Msgs rather than ranging over its values, which would copy
+// the array on every call.
+func (s *Snapshot) TotalMsgs() uint64 {
 	var n uint64
-	for _, v := range s.Msgs {
-		n += v
+	for i := range s.Msgs {
+		n += s.Msgs[i]
 	}
 	return n
 }
 
 // IsZero reports whether the snapshot records no activity at all.
-func (s Snapshot) IsZero() bool { return s == Snapshot{} }
+func (s *Snapshot) IsZero() bool { return *s == Snapshot{} }

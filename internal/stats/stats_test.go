@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -76,5 +77,58 @@ func TestAddAccumulatesEverything(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSnapToDelta: SnapTo copies every Snapshot field from the Counters
+// field of the same name, and Delta overwrites every field of its
+// receiver with the difference, whatever the receiver held before.
+func TestSnapToDelta(t *testing.T) {
+	var c Counters
+	cv := reflect.ValueOf(&c).Elem()
+	n := uint64(1)
+	set := func(step uint64) {
+		for i := 0; i < cv.NumField(); i++ {
+			f := cv.Field(i)
+			switch f.Kind() {
+			case reflect.Uint64:
+				f.SetUint(f.Uint() + n*step)
+				n++
+			case reflect.Array:
+				for j := 0; j < f.Len(); j++ {
+					f.Index(j).SetUint(f.Index(j).Uint() + n*step)
+					n++
+				}
+			}
+		}
+	}
+	set(1)
+	var before Snapshot
+	c.SnapTo(&before)
+	before2 := c
+	set(3)
+	d := Snapshot{L1Accesses: 999, Msgs: [NumMsgTypes]uint64{7, 7, 7}, ReconciledSectors: 5}
+	d.Delta(&c, &before)
+	sv, bv, dv := reflect.ValueOf(before), reflect.ValueOf(before2), reflect.ValueOf(d)
+	for i := 0; i < sv.NumField(); i++ {
+		name := sv.Type().Field(i).Name
+		snap, orig, now := sv.Field(i), bv.FieldByName(name), cv.FieldByName(name)
+		if !orig.IsValid() {
+			t.Fatalf("Snapshot field %s has no Counters twin", name)
+		}
+		if !reflect.DeepEqual(snap.Interface(), orig.Interface()) {
+			t.Errorf("SnapTo: %s = %v, want %v", name, snap, orig)
+		}
+		diff := reflect.New(snap.Type()).Elem()
+		if snap.Kind() == reflect.Array {
+			for j := 0; j < snap.Len(); j++ {
+				diff.Index(j).SetUint(now.Index(j).Uint() - orig.Index(j).Uint())
+			}
+		} else {
+			diff.SetUint(now.Uint() - orig.Uint())
+		}
+		if !reflect.DeepEqual(dv.Field(i).Interface(), diff.Interface()) {
+			t.Errorf("Delta: %s = %v, want %v", name, dv.Field(i), diff)
+		}
 	}
 }

@@ -40,7 +40,8 @@ type phaseFrame struct {
 // nothing that ran outside the marked scope.
 type PhaseAccount struct {
 	byName map[string]*PhaseStats
-	stacks map[int][]phaseFrame // per hardware thread
+	stacks [][]phaseFrame // indexed by hardware thread, grown on first sight
+	system []phaseFrame   // markers on threadless events (Thread -1)
 
 	// Unbalanced counts EvPhaseEnd markers whose name did not match the top
 	// of the thread's stack (or arrived with the stack empty). Always zero
@@ -49,10 +50,18 @@ type PhaseAccount struct {
 }
 
 func newPhaseAccount() *PhaseAccount {
-	return &PhaseAccount{
-		byName: make(map[string]*PhaseStats),
-		stacks: make(map[int][]phaseFrame),
+	return &PhaseAccount{byName: make(map[string]*PhaseStats)}
+}
+
+// stack returns thread's open-phase stack.
+func (pa *PhaseAccount) stack(thread int) *[]phaseFrame {
+	if thread < 0 {
+		return &pa.system
 	}
+	if thread >= len(pa.stacks) {
+		pa.stacks = append(pa.stacks, make([][]phaseFrame, thread+1-len(pa.stacks))...)
+	}
+	return &pa.stacks[thread]
 }
 
 // get returns (creating if needed) the accumulator for name.
@@ -71,12 +80,13 @@ func (pa *PhaseAccount) observe(ev *core.Event) {
 	case core.EvPhaseBegin:
 		ps := pa.get(ev.Label)
 		ps.Opens++
-		pa.stacks[ev.Thread] = append(pa.stacks[ev.Thread], phaseFrame{stats: ps, begin: ev.Cycle})
+		st := pa.stack(ev.Thread)
+		*st = append(*st, phaseFrame{stats: ps, begin: ev.Cycle})
 	case core.EvPhaseEnd:
-		st := pa.stacks[ev.Thread]
-		if n := len(st); n > 0 && st[n-1].stats.Name == ev.Label {
-			fr := st[n-1]
-			pa.stacks[ev.Thread] = st[:n-1]
+		st := pa.stack(ev.Thread)
+		if n := len(*st); n > 0 && (*st)[n-1].stats.Name == ev.Label {
+			fr := (*st)[n-1]
+			*st = (*st)[:n-1]
 			fr.stats.Cycles += ev.Cycle - fr.begin
 		} else {
 			pa.Unbalanced++
@@ -85,15 +95,17 @@ func (pa *PhaseAccount) observe(ev *core.Event) {
 		if !ev.Kind.Instruction() {
 			return
 		}
-		if ev.Thread < 0 {
-			pa.get(SystemPhase).Ctrs.instruction(ev)
-			return
+		var ps *PhaseStats
+		switch {
+		case ev.Thread < 0:
+			ps = pa.get(SystemPhase)
+		case ev.Thread < len(pa.stacks) && len(pa.stacks[ev.Thread]) > 0:
+			st := pa.stacks[ev.Thread]
+			ps = st[len(st)-1].stats
+		default:
+			ps = pa.get(OutsidePhase)
 		}
-		if st := pa.stacks[ev.Thread]; len(st) > 0 {
-			st[len(st)-1].stats.Ctrs.instruction(ev)
-			return
-		}
-		pa.get(OutsidePhase).Ctrs.instruction(ev)
+		ps.Ctrs.instruction(ev)
 	}
 }
 

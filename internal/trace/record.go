@@ -164,7 +164,7 @@ func (r *Recorder) writeJSON(ev *core.Event) {
 		Hi:      uint64(ev.Hi),
 		Region:  uint32(ev.Region),
 		Latency: ev.Latency,
-		Ctrs:    ctrMap(ev.Ctrs),
+		Ctrs:    ctrMap(&ev.Ctrs),
 	}
 	if len(ev.Data) > 0 {
 		je.Data = hex.EncodeToString(ev.Data)
@@ -198,7 +198,7 @@ func (r *Recorder) writeJSON(ev *core.Event) {
 }
 
 // ctrMap flattens the non-zero counter deltas into a name->count map.
-func ctrMap(s stats.Snapshot) map[string]uint64 {
+func ctrMap(s *stats.Snapshot) map[string]uint64 {
 	if s.IsZero() {
 		return nil
 	}
