@@ -13,7 +13,6 @@ package machine
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"warden/internal/core"
 	"warden/internal/engine"
@@ -41,30 +40,18 @@ type Machine struct {
 	// instead of the thread-local fenceOp.
 	syncFences bool
 
-	// PDES state (see pdes.go). locals is non-nil iff emode is EnginePDES;
+	// PDES state (see pdes.go). pdes is non-nil iff emode is EnginePDES;
 	// observing caches Sink() != nil for the concurrent local handler,
-	// which must not read the (mutable) sink field itself. heads[tid] is
-	// the key of the first event in locals[tid]'s buffer (noHead if it is
-	// empty), written by its owner only when it refills an empty buffer;
-	// minTid caches the thread whose head is the merge minimum (-1: all
-	// empty) and is touched only in serialized context; fresh reports a
-	// concurrent refill since the last flush, which invalidates minTid.
+	// which must not read the (mutable) sink field itself.
 	emode     EngineMode
-	locals    []threadLocal
-	heads     []uint64
-	minTid    int
-	fresh     atomic.Bool
+	pdes      *pdesState
 	observing bool
 
 	// ev is the record each instruction-level event and the EvDrain event
-	// are filled into before emission, lev the record flushLocal rebuilds
-	// buffered PDES events in (serialized context only; phase markers
-	// emitted directly by body code use their Ctx's record instead). Sinks
-	// must neither retain nor modify them, so one record of each serves
-	// the whole run, and lev's fields no local kind sets stay zero. before
-	// holds the counters an observed op started from.
-	ev, lev core.Event
-	before  stats.Snapshot
+	// are filled into before emission (serialized context only; phase
+	// markers, which body code emits, use their Ctx's record instead).
+	// Sinks must not retain it, so one record serves the whole run.
+	ev core.Event
 }
 
 // New builds a machine with the given topology and protocol.
@@ -141,10 +128,11 @@ func (m *Machine) Run(bodies []func(*Ctx)) (uint64, error) {
 		// reconciliations, writebacks, and traffic to one EvDrain event.
 		m.sys.SetEventThread(-1)
 		m.sys.SetEventCycle(cycles)
-		m.ctr.SnapTo(&m.before)
+		var before stats.Snapshot
+		m.ctr.SnapTo(&before)
 		m.sys.DrainAll()
 		m.ev = core.Event{Kind: core.EvDrain, Thread: -1, Core: -1, Cycle: cycles}
-		m.ev.Ctrs.Delta(m.ctr, &m.before)
+		m.ev.Ctrs.Delta(m.ctr, &before)
 		m.sys.Emit(&m.ev)
 	} else {
 		m.sys.DrainAll()
@@ -223,7 +211,8 @@ func (m *Machine) exec(t *engine.Thread, op engine.Op) uint64 {
 func (m *Machine) execObserved(t *engine.Thread, op engine.Op) uint64 {
 	m.sys.SetEventThread(t.ID())
 	m.sys.SetEventCycle(t.Now())
-	m.ctr.SnapTo(&m.before)
+	var before stats.Snapshot
+	m.ctr.SnapTo(&before)
 	adv := m.execOp(t, op)
 	// Reset the record in place and fill it field by field: a composite
 	// literal here would be built in a temporary and copied over.
@@ -231,7 +220,7 @@ func (m *Machine) execObserved(t *engine.Thread, op engine.Op) uint64 {
 	*ev = core.Event{}
 	ev.Thread, ev.Core, ev.Cycle = t.ID(), m.cfg.CoreOf(t.ID()), t.Now()
 	ev.Latency, ev.Advance = adv, adv
-	ev.Ctrs.Delta(m.ctr, &m.before)
+	ev.Ctrs.Delta(m.ctr, &before)
 	switch o := op.(type) {
 	case *loadOp:
 		ev.Kind = core.EvLoad

@@ -17,6 +17,7 @@ package machine
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"warden/internal/core"
 	"warden/internal/engine"
@@ -88,6 +89,24 @@ type localCounters struct {
 	fenceDrains   uint64
 }
 
+// pdesState is the machine's PDES state, allocated by SetEngineMode only
+// for EnginePDES. locals holds each thread's speculative state. heads[tid]
+// is the key of the first event in locals[tid]'s buffer (noHead if it is
+// empty), written by its owner only when it refills an empty buffer.
+// minTid caches the thread whose head is the merge minimum (-1: all
+// empty) and is touched only in serialized context; fresh reports a
+// concurrent refill since the last flush, which invalidates minTid. ev is
+// the record flushLocal rebuilds buffered events in: sinks must neither
+// retain nor modify it, so one record serves the run, and the fields no
+// local kind sets stay zero.
+type pdesState struct {
+	locals []threadLocal
+	heads  []uint64
+	minTid int
+	fresh  atomic.Bool
+	ev     core.Event
+}
+
 // noHead is the heads entry of an empty buffer. No key equals it: a local
 // op runs only while its thread's clock is below the epoch horizon.
 const noHead = ^uint64(0)
@@ -109,12 +128,15 @@ func (m *Machine) SetEngineMode(mode EngineMode) {
 	if mode != EnginePDES {
 		return
 	}
-	m.locals = make([]threadLocal, m.cfg.Threads())
-	m.heads = make([]uint64, m.cfg.Threads())
-	for i := range m.heads {
-		m.heads[i] = noHead
+	p := &pdesState{
+		locals: make([]threadLocal, m.cfg.Threads()),
+		heads:  make([]uint64, m.cfg.Threads()),
+		minTid: -1,
 	}
-	m.minTid = -1
+	for i := range p.heads {
+		p.heads[i] = noHead
+	}
+	m.pdes = p
 	m.eng.SetPDES(engine.PDESConfig{
 		Window: pdesWindowScale * m.cfg.MinVisibilityLatency(),
 		Local:  m.execLocal,
@@ -140,7 +162,7 @@ type hostOp struct{ fn func() }
 // concurrently with other threads' execLocal calls, so it must not touch
 // m.ctr, m.sys, or any shared structure.
 func (m *Machine) execLocal(t *engine.Thread, op engine.Op) uint64 {
-	tl := &m.locals[t.ID()]
+	tl := &m.pdes.locals[t.ID()]
 	var adv, arg1 uint64
 	var kind core.EventKind
 	switch o := op.(type) {
@@ -175,18 +197,18 @@ func (m *Machine) execLocal(t *engine.Thread, op engine.Op) uint64 {
 // instead. The load before the store keeps phase-1 threads from bouncing
 // the flag's cache line once it is set.
 func (m *Machine) refill(t *engine.Thread, key uint64) {
-	id := t.ID()
-	m.heads[id] = key
+	p, id := m.pdes, t.ID()
+	p.heads[id] = key
 	if !t.Serial() {
-		if !m.fresh.Load() {
-			m.fresh.Store(true)
+		if !p.fresh.Load() {
+			p.fresh.Store(true)
 		}
 		return
 	}
-	if min := m.minTid; min >= 0 && (m.heads[min] < key || m.heads[min] == key && min < id) {
+	if min := p.minTid; min >= 0 && (p.heads[min] < key || p.heads[min] == key && min < id) {
 		return
 	}
-	m.minTid = id
+	p.minTid = id
 }
 
 // flushLocal publishes buffered local events whose serialized position
@@ -201,19 +223,20 @@ func (m *Machine) refill(t *engine.Thread, key uint64) {
 // refill updates it directly; see refill). A flush with nothing to publish
 // therefore costs one comparison, not a scan of every thread.
 func (m *Machine) flushLocal(maxCycle uint64, maxID int) {
-	if m.fresh.Load() {
-		m.fresh.Store(false)
-		m.minTid = m.scanMin()
+	p := m.pdes
+	if p.fresh.Load() {
+		p.fresh.Store(false)
+		p.minTid = p.scanMin()
 	}
-	for m.minTid >= 0 {
-		tid := m.minTid
-		key := m.heads[tid]
+	for p.minTid >= 0 {
+		tid := p.minTid
+		key := p.heads[tid]
 		if key > maxCycle || (key == maxCycle && tid > maxID) {
 			return
 		}
-		tl := &m.locals[tid]
+		tl := &p.locals[tid]
 		le := &tl.events[tl.head]
-		ev := &m.lev
+		ev := &p.ev
 		ev.Kind, ev.Thread, ev.Core = le.kind, tid, m.cfg.CoreOf(tid)
 		ev.Cycle, ev.Label, ev.Arg1 = le.cycle, le.label, le.arg1
 		ev.Latency, ev.Advance = le.adv, le.adv
@@ -226,20 +249,20 @@ func (m *Machine) flushLocal(maxCycle uint64, maxID int) {
 		} else {
 			next = tl.events[tl.head].key
 		}
-		m.heads[tid] = next
+		p.heads[tid] = next
 		// A next record that ties the popped key keeps tid the minimum:
 		// every other head is larger, or ties it from a larger thread id.
 		if next != key {
-			m.minTid = m.scanMin()
+			p.minTid = p.scanMin()
 		}
 	}
 }
 
 // scanMin returns the thread whose buffered head has the smallest
 // (key, thread), or -1 when every buffer is empty.
-func (m *Machine) scanMin() int {
+func (p *pdesState) scanMin() int {
 	best, bestKey := -1, noHead
-	for tid, k := range m.heads {
+	for tid, k := range p.heads {
 		if k < bestKey {
 			best, bestKey = tid, k
 		}
@@ -256,8 +279,8 @@ func (m *Machine) scanMin() int {
 // last buffered event.
 func (c *Ctx) emitMarker(kind core.EventKind, name string) {
 	m, now := c.m, c.t.Now()
-	if m.emode == EnginePDES {
-		tl := &m.locals[c.t.ID()]
+	if m.pdes != nil {
+		tl := &m.pdes.locals[c.t.ID()]
 		if n := len(tl.events); n > 0 {
 			tl.events = append(tl.events, localEvent{key: tl.events[n-1].key, cycle: now, label: name, kind: kind})
 			return
@@ -275,11 +298,11 @@ func (c *Ctx) emitMarker(kind core.EventKind, name string) {
 // shared counters. Called once after the engine run, including on error
 // returns, so counters match the sequential engine's in every outcome.
 func (m *Machine) mergeLocals() {
-	if m.locals == nil {
+	if m.pdes == nil {
 		return
 	}
-	for i := range m.locals {
-		c := &m.locals[i].ctr
+	for i := range m.pdes.locals {
+		c := &m.pdes.locals[i].ctr
 		m.ctr.Instructions += c.instructions
 		m.ctr.ComputeCycles += c.computeCycles
 		m.ctr.FenceDrains += c.fenceDrains
